@@ -59,8 +59,7 @@ fn cmd_demo(args: &[String]) -> CliResult {
     std::fs::create_dir_all(dir)?;
     if scale == "datacenter" {
         // The paper's 320-server tree (16 racks x 20 servers): two
-        // captures of the same nine-app workload under different seeds,
-        // the pair the shardbench and scale-out docs exercise.
+        // captures of the same nine-app workload under different seeds.
         let (baseline, _) = flowdiff_bench::tree_capture(9, 42, 6);
         let (current, _) = flowdiff_bench::tree_capture(9, 43, 6);
         let base_path = format!("{dir}/baseline.fcap");
@@ -69,7 +68,7 @@ fn cmd_demo(args: &[String]) -> CliResult {
         flowdiff::checkpoint::atomic_write(cur_path.as_ref(), &current.to_wire_bytes())?;
         println!("wrote {base_path} ({} events)", baseline.len());
         println!("wrote {cur_path} ({} events)", current.len());
-        println!("\ntry:\n  flowdiff-bench watch {base_path} {cur_path} --shards 4");
+        println!("\ntry:\n  flowdiff-bench watch {base_path} {cur_path}");
         return Ok(());
     }
     let env = LabEnv::new();

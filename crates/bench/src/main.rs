@@ -28,7 +28,6 @@ fn main() -> ExitCode {
         Some("chaos") => run(cmd_chaos(&args[1..])),
         Some("flapdrill") => run(cmd_flapdrill(&args[1..])),
         Some("crashdrill") => run(cmd_crashdrill(&args[1..])),
-        Some("shardbench") => run(cmd_shardbench(&args[1..])),
         Some("hotpathbench") => run(cmd_hotpathbench(&args[1..])),
         Some(other) => {
             eprintln!("unknown subcommand: {other}");
@@ -45,24 +44,23 @@ fn main() -> ExitCode {
 fn usage() {
     eprintln!(
         "usage: flowdiff-bench [watch <baseline.fcap|baseline.fbas> <current.fcap> \
-         [--special ip,ip] [--epoch-secs N] [--window-secs N] [--shards N] \
+         [--special ip,ip] [--epoch-secs N] [--window-secs N] \
          [--save-baseline <path>] [--checkpoint <path>] [--checkpoint-every N] \
          [--resume <path>]]\n       \
          flowdiff-bench [serve <baseline.fcap|baseline.fbas> --listen HOST:PORT \
          [--publishers N] [--queue N] [--slack-ms N] [--stall-ms N] [--heartbeat-ms N] \
          [--special ip,ip] [--epoch-secs N] \
-         [--window-secs N] [--shards N] [--checkpoint <path>] [--checkpoint-every N] \
+         [--window-secs N] [--checkpoint <path>] [--checkpoint-every N] \
          [--resume <path>]]\n       \
          flowdiff-bench [publish <current.fcap> --connect HOST:PORT [--connections N] \
          [--chaos RATE] [--seed N] [--skew-us N] [--jitter-us N] [--session] \
          [--retry-budget N] [--backoff-ms N] [--flaps N] \
          [--stall-after BYTES --stall-ms N]]\n       \
          flowdiff-bench [chaos [--seed N] [--corruption RATE] \
-         [--skew-us N] [--jitter-us N] [--shards N] [--wire] [--connections N]]\n       \
+         [--skew-us N] [--jitter-us N] [--wire] [--connections N]]\n       \
          flowdiff-bench [flapdrill [--seed N] [--flaps N] [--stalls N] [--trickles N] \
-         [--connections N] [--shards N] [--merge-stall-ms N]]\n       \
-         flowdiff-bench [crashdrill [--seed N] [--kills N] [--shards N] [--kill-worker]]\n       \
-         flowdiff-bench [shardbench [--shards N] [--out <path>]]\n       \
+         [--connections N] [--merge-stall-ms N]]\n       \
+         flowdiff-bench [crashdrill [--seed N] [--kills N]]\n       \
          flowdiff-bench [hotpathbench [--out <path>]]"
     );
 }
@@ -125,10 +123,6 @@ fn print_index() {
     println!();
     println!("Crash-recovery drill (kill + checkpoint-restore on the 320-server capture):");
     println!("  cargo run --release -p flowdiff-bench -- crashdrill --seed 1 --kills 3");
-    println!("  cargo run --release -p flowdiff-bench -- crashdrill --shards 4 --kill-worker");
-    println!();
-    println!("Sharding benchmark (byte-identity + throughput, writes BENCH_shard.json):");
-    println!("  cargo run --release -p flowdiff-bench -- shardbench --shards 4");
     println!();
     println!("Hot-path benchmark (incremental snapshots, appends to BENCH_hotpath.json):");
     println!("  cargo run --release -p flowdiff-bench -- hotpathbench");
@@ -189,16 +183,9 @@ fn cmd_watch(args: &[String]) -> CliResult {
     let mut save_baseline: Option<PathBuf> = None;
     let mut checkpoint_path: Option<PathBuf> = None;
     let mut resume_path: Option<PathBuf> = None;
-    let mut n_shards: usize = 1;
     let mut it = args[2..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
             "--special" => {
                 let list = it.next().ok_or("--special needs a comma-separated list")?;
                 let mut specials = Vec::new();
@@ -275,12 +262,10 @@ fn cmd_watch(args: &[String]) -> CliResult {
         return Err(format!("{}: capture holds no events", args[1]).into());
     }
 
-    let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
+    let fresh = || -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>> {
         match &resume_path {
             Some(path) => {
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                let (differ, at) = restore_checkpoint(&bytes, &config)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
+                let (differ, at) = load_checkpoint(path, &config)?;
                 println!(
                     "stats: resumed from {} at event {at}, epoch {}",
                     path.display(),
@@ -288,32 +273,18 @@ fn cmd_watch(args: &[String]) -> CliResult {
                 );
                 Ok((differ, at))
             }
-            None if n_shards > 1 => Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    n_shards,
-                )?),
-                0,
-            )),
             None => Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
+                OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?,
                 0,
             )),
         }
     };
-    let (last, mut health, restarts, shard_report) = supervised_run(
+    let (last, mut health, restarts) = supervised_run(
         &events,
         &fresh,
         &config,
         checkpoint_path.as_deref(),
         None,
-        false,
         |snapshot, timings| {
             report(snapshot, &config);
             report_latency(snapshot.epoch, timings);
@@ -327,17 +298,6 @@ fn cmd_watch(args: &[String]) -> CliResult {
         println!(
             "stats: survived {restarts} restart(s) within a budget of {}",
             config.restart_budget
-        );
-    }
-    if let Some((stats, merge_us)) = shard_report {
-        let per_shard = stats
-            .iter()
-            .map(|s| format!("{}:{}r/{}e", s.shard, s.records, s.open_episodes))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "stats: {} shard(s), merge {merge_us} us total; final load (records/episodes) {per_shard}",
-            stats.len()
         );
     }
     println!("stats: ingest {health}");
@@ -362,7 +322,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
     let mut publishers: usize = 1;
     let mut checkpoint_path: Option<PathBuf> = None;
     let mut resume_path: Option<PathBuf> = None;
-    let mut n_shards: usize = 1;
     let mut it = args[1..].iter();
     while let Some(a) = it.next() {
         match a.as_str() {
@@ -388,12 +347,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
             "--heartbeat-ms" => {
                 let n: u64 = it.next().ok_or("--heartbeat-ms needs a number")?.parse()?;
                 config.ingest_heartbeat_us = n * 1_000;
-            }
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
             }
             "--special" => {
                 let list = it.next().ok_or("--special needs a comma-separated list")?;
@@ -482,12 +435,10 @@ fn cmd_serve(args: &[String]) -> CliResult {
         }
     };
 
-    let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
+    let fresh = || -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>> {
         match &resume_path {
             Some(path) => {
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                let (differ, at) = restore_checkpoint(&bytes, &config)
-                    .map_err(|e| format!("{}: {e}", path.display()))?;
+                let (differ, at) = load_checkpoint(path, &config)?;
                 println!(
                     "stats: resumed from {} at event {at}, epoch {}",
                     path.display(),
@@ -495,32 +446,18 @@ fn cmd_serve(args: &[String]) -> CliResult {
                 );
                 Ok((differ, at))
             }
-            None if n_shards > 1 => Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    n_shards,
-                )?),
-                0,
-            )),
             None => Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
+                OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?,
                 0,
             )),
         }
     };
-    let (last, mut health, restarts, shard_report) = supervised_feed(
+    let (last, mut health, restarts) = supervised_feed(
         &mut feed,
         &fresh,
         &config,
         checkpoint_path.as_deref(),
         None,
-        false,
         Some(&degraded_probe),
         |snapshot, timings| {
             report(snapshot, &config);
@@ -546,17 +483,6 @@ fn cmd_serve(args: &[String]) -> CliResult {
         println!(
             "stats: survived {restarts} restart(s) within a budget of {}",
             config.restart_budget
-        );
-    }
-    if let Some((stats, merge_us)) = shard_report {
-        let per_shard = stats
-            .iter()
-            .map(|s| format!("{}:{}r/{}e", s.shard, s.records, s.open_episodes))
-            .collect::<Vec<_>>()
-            .join(" ");
-        println!(
-            "stats: {} shard(s), merge {merge_us} us total; final load (records/episodes) {per_shard}",
-            stats.len()
         );
     }
     println!("stats: ingest {health}");
@@ -743,142 +669,16 @@ fn cmd_publish(args: &[String]) -> CliResult {
     }
 }
 
-/// The watch loop's pipeline, in either deployment shape. `--shards 1`
-/// (the default) is the exact legacy [`OnlineDiffer`] code path — no
-/// routing, no chunking; `--shards N` for N > 1 is the partitioned
-/// [`ShardedDiffer`]. Both shapes promise byte-identical epoch
-/// snapshots, so everything downstream of this enum is shape-blind.
-// One value lives for the whole watch run; the variant size skew does
-// not justify boxing every access.
-#[allow(clippy::large_enum_variant)]
-enum Differ {
-    Single(OnlineDiffer),
-    Sharded(ShardedDiffer),
-}
-
-impl Differ {
-    fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
-        match self {
-            Differ::Single(d) => d.observe(event),
-            Differ::Sharded(d) => d.observe(event),
-        }
-    }
-
-    fn finish(self) -> Option<EpochSnapshot> {
-        match self {
-            Differ::Single(d) => d.finish(),
-            Differ::Sharded(d) => d.finish(),
-        }
-    }
-
-    fn epoch(&self) -> u64 {
-        match self {
-            Differ::Single(d) => d.epoch(),
-            Differ::Sharded(d) => d.epoch(),
-        }
-    }
-
-    fn health(&self) -> flowdiff::records::IngestHealth {
-        match self {
-            Differ::Single(d) => *d.health(),
-            Differ::Sharded(d) => d.health(),
-        }
-    }
-
-    fn mark_lossy_restore(&mut self) {
-        match self {
-            Differ::Single(d) => d.mark_lossy_restore(),
-            Differ::Sharded(d) => d.mark_lossy_restore(),
-        }
-    }
-
-    /// Marks (or clears) a degraded-ingest condition: while set, every
-    /// snapshot gates its diffs to Suppressed (see
-    /// [`OnlineDiffer::set_ingest_degraded`]) instead of alarming on
-    /// behavior a stalled or dead source never delivered.
-    fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        match self {
-            Differ::Single(d) => d.set_ingest_degraded(reason),
-            Differ::Sharded(d) => d.set_ingest_degraded(reason),
-        }
-    }
-
-    /// Drains the per-stage wall-clock spent since the last call (see
-    /// [`OnlineDiffer::take_timings`] for the sharded stage mapping).
-    fn take_timings(&mut self) -> EpochTimings {
-        match self {
-            Differ::Single(d) => d.take_timings(),
-            Differ::Sharded(d) => d.take_timings(),
-        }
-    }
-
-    /// Per-shard worker load and cumulative merge time; `None` for the
-    /// single-pipeline shape.
-    fn shard_report(&self) -> Option<(Vec<ShardStats>, u64)> {
-        match self {
-            Differ::Single(_) => None,
-            Differ::Sharded(d) => Some((d.shard_stats(), d.merge_micros())),
-        }
-    }
-
-    /// Serializes into the checkpoint layout matching the shape: v1
-    /// for the single pipeline, v2 (segmented) for the sharded one.
-    fn checkpoint_bytes(&self, events_consumed: u64, config: &FlowDiffConfig) -> Vec<u8> {
-        match self {
-            Differ::Single(d) => Checkpoint::capture(d, events_consumed, config).to_bytes(),
-            Differ::Sharded(d) => ShardedCheckpoint::capture(d, events_consumed, config).to_bytes(),
-        }
-    }
-
-    fn save_checkpoint(
-        &self,
-        events_consumed: u64,
-        config: &FlowDiffConfig,
-        path: &Path,
-    ) -> Result<(), PersistError> {
-        match self {
-            Differ::Single(d) => Checkpoint::capture(d, events_consumed, config).save(path),
-            Differ::Sharded(d) => ShardedCheckpoint::capture(d, events_consumed, config).save(path),
-        }
-    }
-
-    /// Injects a poison message into one long-lived shard worker (the
-    /// crash drill's worker-death mode). The worker panics when it
-    /// dequeues the message; the coordinator notices at its next
-    /// flush/quiesce. No-op for the single pipeline, which has no
-    /// worker threads to kill.
-    fn poison_worker(&mut self, shard: usize) {
-        match self {
-            Differ::Single(_) => {}
-            Differ::Sharded(d) => d.poison_worker(shard),
-        }
-    }
-}
-
-/// Restores a checkpoint of either layout into a running [`Differ`].
-/// Corrupt per-shard segments in a v2 file salvage to fresh workers
-/// (reported on stderr) rather than failing the whole restore.
-fn restore_checkpoint(
-    bytes: &[u8],
+/// Restores the checkpoint at `path` into a running differ and its
+/// replay offset; every failure names the file.
+fn load_checkpoint(
+    path: &Path,
     config: &FlowDiffConfig,
-) -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-    match AnyCheckpoint::from_bytes_salvaging(bytes)? {
-        AnyCheckpoint::Single(c) => {
-            let (differ, at) = c.resume(config)?;
-            Ok((Differ::Single(differ), at))
-        }
-        AnyCheckpoint::Sharded(c) => {
-            if !c.salvaged_shards.is_empty() {
-                eprintln!(
-                    "warning: salvaged corrupt checkpoint segment(s) for shard(s) {:?}; \
-                     those workers restart fresh under warm-up gating",
-                    c.salvaged_shards
-                );
-            }
-            let (differ, at) = c.resume(config)?;
-            Ok((Differ::Sharded(differ), at))
-        }
-    }
+) -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>> {
+    let load = || -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>> {
+        Ok(Checkpoint::from_bytes(&std::fs::read(path)?)?.resume(config)?)
+    };
+    load().map_err(|e| format!("{}: {e}", path.display()).into())
 }
 
 /// The supervised loop's event source.
@@ -941,7 +741,7 @@ impl Feed<'_> {
     }
 }
 
-/// Drives `events` through a supervised online differ (either shape).
+/// Drives `events` through a supervised online differ.
 ///
 /// Every observation runs inside `catch_unwind`; on a panic the loop
 /// restores the last durable checkpoint (or calls `fresh` again when
@@ -954,69 +754,47 @@ impl Feed<'_> {
 /// observation emits an epoch the plan wants dead, the kill is consumed
 /// ([`CrashPlan::take`]) and the closure panics *before* the snapshot
 /// is delivered — exactly what a power cut between compute and output
-/// looks like. With `kill_workers` set, the plan poisons one long-lived
-/// shard worker instead of panicking on the coordinator: the worker
-/// dies when it dequeues the poison, and the loop only notices at the
-/// next flush/quiesce (usually the checkpoint capture), exercising the
-/// channel-propagation path end to end.
+/// looks like.
 ///
 /// Returns the final flushed snapshot, the ingestion health of the
-/// (last incarnation of the) differ, how many restarts were spent, and
-/// the shard report (worker loads + merge time) when running sharded.
-#[allow(clippy::type_complexity)]
+/// (last incarnation of the) differ, and how many restarts were spent.
 fn supervised_run(
     events: &[ControlEvent],
-    fresh: &dyn Fn() -> Result<(Differ, u64), Box<dyn std::error::Error>>,
+    fresh: &dyn Fn() -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>>,
     config: &FlowDiffConfig,
     checkpoint_path: Option<&Path>,
     plan: Option<&mut CrashPlan>,
-    kill_workers: bool,
     on_snapshot: impl FnMut(&EpochSnapshot, EpochTimings),
-) -> Result<
-    (
-        Option<EpochSnapshot>,
-        flowdiff::records::IngestHealth,
-        u32,
-        Option<(Vec<ShardStats>, u64)>,
-    ),
-    Box<dyn std::error::Error>,
-> {
+) -> Result<Supervised, Box<dyn std::error::Error>> {
     supervised_feed(
         &mut Feed::Slice(events),
         fresh,
         config,
         checkpoint_path,
         plan,
-        kill_workers,
         None,
         on_snapshot,
     )
 }
+
+/// What a supervised run leaves behind: the final flushed snapshot,
+/// the ingestion health, and the restarts spent.
+type Supervised = (Option<EpochSnapshot>, flowdiff::records::IngestHealth, u32);
 
 /// [`supervised_run`] over any [`Feed`], with an optional degraded-
 /// ingest probe. The probe is polled once per event (cheap atomic
 /// reads) and its verdict is applied to the differ *before* the
 /// observation, so an epoch that closes while a source is stalled or
 /// dead gates its diffs instead of alarming on the missing share.
-#[allow(clippy::type_complexity, clippy::too_many_arguments)]
 fn supervised_feed(
     feed: &mut Feed<'_>,
-    fresh: &dyn Fn() -> Result<(Differ, u64), Box<dyn std::error::Error>>,
+    fresh: &dyn Fn() -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>>,
     config: &FlowDiffConfig,
     checkpoint_path: Option<&Path>,
     mut plan: Option<&mut CrashPlan>,
-    kill_workers: bool,
     degraded: Option<&dyn Fn() -> Option<String>>,
     mut on_snapshot: impl FnMut(&EpochSnapshot, EpochTimings),
-) -> Result<
-    (
-        Option<EpochSnapshot>,
-        flowdiff::records::IngestHealth,
-        u32,
-        Option<(Vec<ShardStats>, u64)>,
-    ),
-    Box<dyn std::error::Error>,
-> {
+) -> Result<Supervised, Box<dyn std::error::Error>> {
     let (mut differ, start) = fresh()?;
     let mut idx = start as usize;
     // Epochs below this watermark were already delivered (possibly by a
@@ -1024,129 +802,80 @@ fn supervised_feed(
     let mut emitted: u64 = differ.epoch();
     let mut restarts: u32 = 0;
     let mut epochs_since_ckpt: u64 = 0;
-    // One restart: spend budget, back off, restore the last durable
-    // checkpoint (or start fresh when none was written yet).
-    let restart = |restarts: &mut u32| -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-        *restarts += 1;
-        if *restarts > config.restart_budget {
-            return Err(format!(
-                "restart budget exhausted: panicked {restarts} times, budget {}",
-                config.restart_budget
-            )
-            .into());
+    // Pull (possibly blocking on the live merge) *before* probing: a
+    // stall the merge just waived to release this event is visible to
+    // the probe that gates its epoch.
+    while let Some(event) = feed.get(idx) {
+        if let Some(probe) = degraded {
+            differ.set_ingest_degraded(probe());
         }
-        let backoff = config
-            .restart_backoff_us
-            .saturating_mul(1u64 << (*restarts - 1).min(20));
-        std::thread::sleep(std::time::Duration::from_micros(backoff));
-        match checkpoint_path {
-            Some(path) if path.exists() => {
-                let bytes = std::fs::read(path).map_err(|e| format!("{}: {e}", path.display()))?;
-                Ok(restore_checkpoint(&bytes, config)
-                    .map_err(|e| format!("{}: {e}", path.display()))?)
-            }
-            _ => fresh(),
-        }
-    };
-    'run: loop {
-        // Pull (possibly blocking on the live merge) *before* probing:
-        // a stall the merge just waived to release this event is
-        // visible to the probe that gates its epoch.
-        while let Some(event) = feed.get(idx) {
-            if let Some(probe) = degraded {
-                differ.set_ingest_degraded(probe());
-            }
-            let observed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                let snaps = differ.observe(event);
-                if let Some(plan) = plan.as_deref_mut() {
-                    for snap in &snaps {
-                        if snap.epoch >= emitted && plan.take(snap.epoch) {
-                            if kill_workers {
-                                differ.poison_worker(snap.epoch as usize);
-                            } else {
-                                panic!("crashdrill: killed at epoch {}", snap.epoch);
-                            }
-                        }
+        let observed = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            let snaps = differ.observe(event);
+            if let Some(plan) = plan.as_deref_mut() {
+                for snap in &snaps {
+                    if snap.epoch >= emitted && plan.take(snap.epoch) {
+                        panic!("crashdrill: killed at epoch {}", snap.epoch);
                     }
                 }
-                snaps
-            }));
-            match observed {
-                Ok(snaps) => {
-                    let mut fresh_epochs = 0u64;
-                    // The stage timings accumulated since the last boundary
-                    // belong to this observe round's epochs; a multi-epoch
-                    // advance attributes the sum to the first fresh one.
-                    let mut timings = if snaps.is_empty() {
-                        EpochTimings::default()
-                    } else {
-                        differ.take_timings()
-                    };
-                    for snap in &snaps {
-                        if snap.epoch >= emitted {
-                            on_snapshot(snap, std::mem::take(&mut timings));
-                            emitted = snap.epoch + 1;
-                            fresh_epochs += 1;
-                        }
-                    }
-                    idx += 1;
-                    if fresh_epochs > 0 {
-                        epochs_since_ckpt += fresh_epochs;
-                        if let Some(path) = checkpoint_path {
-                            if epochs_since_ckpt >= config.checkpoint_every_epochs {
-                                // `idx` was just advanced: the checkpoint
-                                // records that events[..idx] are consumed.
-                                // Capture quiesces the pipeline, so a
-                                // worker poisoned this round panics here
-                                // instead of snapshotting a dead pipeline.
-                                let saved =
-                                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                                        differ.save_checkpoint(idx as u64, config, path)
-                                    }));
-                                match saved {
-                                    Ok(result) => {
-                                        result?;
-                                        epochs_since_ckpt = 0;
-                                    }
-                                    Err(_) => {
-                                        let (restored, at) = restart(&mut restarts)?;
-                                        differ = restored;
-                                        idx = at as usize;
-                                        epochs_since_ckpt = 0;
-                                    }
-                                }
-                            }
-                        }
-                    }
-                }
-                Err(_) => {
-                    let (restored, at) = restart(&mut restarts)?;
-                    differ = restored;
-                    idx = at as usize;
+            }
+            snaps
+        }));
+        let Ok(snaps) = observed else {
+            // One restart: spend budget, back off, restore the last
+            // durable checkpoint (or start fresh when none was written
+            // yet).
+            restarts += 1;
+            if restarts > config.restart_budget {
+                return Err(format!(
+                    "restart budget exhausted: panicked {restarts} times, budget {}",
+                    config.restart_budget
+                )
+                .into());
+            }
+            let backoff = config
+                .restart_backoff_us
+                .saturating_mul(1u64 << (restarts - 1).min(20));
+            std::thread::sleep(std::time::Duration::from_micros(backoff));
+            let (restored, at) = match checkpoint_path {
+                Some(path) if path.exists() => load_checkpoint(path, config)?,
+                _ => fresh()?,
+            };
+            differ = restored;
+            idx = at as usize;
+            epochs_since_ckpt = 0;
+            continue;
+        };
+        let mut fresh_epochs = 0u64;
+        // The stage timings accumulated since the last boundary belong
+        // to this observe round's epochs; a multi-epoch advance
+        // attributes the sum to the first fresh one.
+        let mut timings = if snaps.is_empty() {
+            EpochTimings::default()
+        } else {
+            differ.take_timings()
+        };
+        for snap in &snaps {
+            if snap.epoch >= emitted {
+                on_snapshot(snap, std::mem::take(&mut timings));
+                emitted = snap.epoch + 1;
+                fresh_epochs += 1;
+            }
+        }
+        idx += 1;
+        if fresh_epochs > 0 {
+            epochs_since_ckpt += fresh_epochs;
+            if let Some(path) = checkpoint_path {
+                if epochs_since_ckpt >= config.checkpoint_every_epochs {
+                    // `idx` was just advanced: the checkpoint records
+                    // that events[..idx] are consumed.
+                    Checkpoint::capture(&differ, idx as u64, config).save(path)?;
                     epochs_since_ckpt = 0;
                 }
             }
         }
-        // health()/shard_stats() quiesce the pipeline, so a worker
-        // poisoned during the final observe rounds surfaces here; treat
-        // it like any other crash and replay from the checkpoint.
-        let finale = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            (differ.health(), differ.shard_report())
-        }));
-        match finale {
-            Ok((health, shard_report)) => {
-                let last = differ.finish();
-                return Ok((last, health, restarts, shard_report));
-            }
-            Err(_) => {
-                let (restored, at) = restart(&mut restarts)?;
-                differ = restored;
-                idx = at as usize;
-                epochs_since_ckpt = 0;
-                continue 'run;
-            }
-        }
     }
+    let health = *differ.health();
+    Ok((differ.finish(), health, restarts))
 }
 
 /// `chaos`: regenerate the paper's 320-server tree capture, mangle it
@@ -1158,7 +887,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
     let mut corruption: f64 = 0.01;
     let mut skew_us: u64 = 0;
     let mut jitter_us: u64 = 0;
-    let mut n_shards: usize = 1;
     let mut wire = false;
     let mut connections: usize = 2;
     let mut it = args.iter();
@@ -1180,12 +908,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
             }
             "--skew-us" => skew_us = it.next().ok_or("--skew-us needs a number")?.parse()?,
             "--jitter-us" => jitter_us = it.next().ok_or("--jitter-us needs a number")?.parse()?,
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
             other => return Err(format!("unknown flag: {other}").into()),
         }
     }
@@ -1230,7 +952,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
             baseline.clone(),
             stability.clone(),
             &config,
-            n_shards,
         )?;
         println!(
             "mangled: {} frames -> {} dropped, {} duplicated, {} truncated, \
@@ -1249,7 +970,6 @@ fn cmd_chaos(args: &[String]) -> CliResult {
             baseline,
             stability,
             &config,
-            n_shards,
         )?;
         (clean_keys, clean_health, chaos_keys, chaos_health)
     } else {
@@ -1265,15 +985,10 @@ fn cmd_chaos(args: &[String]) -> CliResult {
             report.bit_flipped,
             report.reordered,
         );
-        let (clean_keys, clean_health) = stream_changes(
-            &clean_bytes,
-            baseline.clone(),
-            stability.clone(),
-            &config,
-            n_shards,
-        )?;
+        let (clean_keys, clean_health) =
+            stream_changes(&clean_bytes, baseline.clone(), stability.clone(), &config)?;
         let (chaos_keys, chaos_health) =
-            stream_changes(&mangled_bytes, baseline, stability, &config, n_shards)?;
+            stream_changes(&mangled_bytes, baseline, stability, &config)?;
         (clean_keys, clean_health, chaos_keys, chaos_health)
     };
     println!(
@@ -1281,18 +996,7 @@ fn cmd_chaos(args: &[String]) -> CliResult {
         clean_keys.len()
     );
     println!("stats: ingest {chaos_health}");
-
-    let recovered = clean_keys.intersection(&chaos_keys).count();
-    let fidelity = if clean_keys.is_empty() {
-        1.0
-    } else {
-        recovered as f64 / clean_keys.len() as f64
-    };
-    println!(
-        "fidelity: {:.1}% ({recovered}/{} confirmed changes recovered)",
-        fidelity * 100.0,
-        clean_keys.len()
-    );
+    report_fidelity(&clean_keys, &chaos_keys);
     Ok(())
 }
 
@@ -1315,7 +1019,6 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
     let mut stalls: usize = 1;
     let mut trickles: usize = 1;
     let mut connections: usize = 2;
-    let mut n_shards: usize = 1;
     let mut merge_stall_ms: u64 = 0;
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -1328,12 +1031,6 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
                 connections = it.next().ok_or("--connections needs a count")?.parse()?;
                 if connections == 0 {
                     return Err("--connections must be at least 1".into());
-                }
-            }
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
                 }
             }
             "--merge-stall-ms" => {
@@ -1363,7 +1060,7 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
     println!(
         "flapdrill: seed {seed}, per conn {flaps} flap(s) + {stalls} stall(s) + \
          {trickles} trickle(s), {connections} connection(s), merge stall budget \
-         {merge_stall_ms} ms, {n_shards} shard(s)"
+         {merge_stall_ms} ms"
     );
 
     let (clean_keys, clean_health, _) = wire_session_changes(
@@ -1373,7 +1070,6 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
         baseline.clone(),
         stability.clone(),
         &config,
-        n_shards,
     )?;
     let (drill_keys, drill_health, reports) = wire_session_changes(
         &current_log,
@@ -1382,7 +1078,6 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
         baseline,
         stability,
         &config,
-        n_shards,
     )?;
     for r in &reports {
         println!("stats: conn {}", conn_line(r));
@@ -1392,18 +1087,7 @@ fn cmd_flapdrill(args: &[String]) -> CliResult {
         clean_keys.len()
     );
     println!("stats: ingest {drill_health}");
-
-    let recovered = clean_keys.intersection(&drill_keys).count();
-    let fidelity = if clean_keys.is_empty() {
-        1.0
-    } else {
-        recovered as f64 / clean_keys.len() as f64
-    };
-    println!(
-        "fidelity: {:.1}% ({recovered}/{} confirmed changes recovered)",
-        fidelity * 100.0,
-        clean_keys.len()
-    );
+    report_fidelity(&clean_keys, &drill_keys);
     Ok(())
 }
 
@@ -1443,27 +1127,13 @@ impl EpochTrace {
 fn cmd_crashdrill(args: &[String]) -> CliResult {
     let mut seed: u64 = 1;
     let mut kills: usize = 3;
-    let mut n_shards: usize = 1;
-    let mut kill_workers = false;
     let mut it = args.iter();
     while let Some(a) = it.next() {
         match a.as_str() {
             "--seed" => seed = it.next().ok_or("--seed needs a number")?.parse()?,
             "--kills" => kills = it.next().ok_or("--kills needs a count")?.parse()?,
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards == 0 {
-                    return Err("--shards must be at least 1".into());
-                }
-            }
-            "--kill-worker" => kill_workers = true,
             other => return Err(format!("unknown flag: {other}").into()),
         }
-    }
-    if kill_workers && n_shards < 2 {
-        return Err("--kill-worker needs --shards 2 or more (the single \
-                    pipeline has no worker threads to kill)"
-            .into());
     }
 
     let (baseline_log, mut config) = flowdiff_bench::tree_capture(9, 42, 6);
@@ -1482,40 +1152,22 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
     let stability = analyze(&baseline_log, &baseline, &config);
     let events: Vec<ControlEvent> = current_log.events().to_vec();
     println!(
-        "drill: seed {seed}, {kills} {} over {} events, {n_shards} shard(s), \
+        "drill: seed {seed}, {kills} kill(s) over {} events, \
          checkpoint every {} epoch(s)",
-        if kill_workers {
-            "worker poisoning(s)"
-        } else {
-            "kill(s)"
-        },
         events.len(),
         config.checkpoint_every_epochs
     );
 
     // Uninterrupted reference run.
-    let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
+    let fresh = || -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>> {
         Ok((
-            if n_shards > 1 {
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    n_shards,
-                )?)
-            } else {
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?)
-            },
+            OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?,
             0,
         ))
     };
     let mut clean: Vec<EpochTrace> = Vec::new();
-    let (clean_last, _, clean_restarts, _) =
-        supervised_run(&events, &fresh, &config, None, None, false, |snap, _| {
+    let (clean_last, _, clean_restarts) =
+        supervised_run(&events, &fresh, &config, None, None, |snap, _| {
             clean.push(EpochTrace::of(snap))
         })?;
     assert_eq!(clean_restarts, 0, "the clean run must not panic");
@@ -1544,21 +1196,15 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
         &config,
         Some(&ckpt_path),
         Some(&mut plan),
-        kill_workers,
         |snap, _| drilled.push(EpochTrace::of(snap)),
     );
     std::panic::set_hook(orig_hook);
-    let (drill_last, _, restarts, _) = outcome?;
+    let (drill_last, _, restarts) = outcome?;
     if let Some(snap) = &drill_last {
         drilled.push(EpochTrace::of(snap));
     }
     println!(
-        "drill: {restarts} of {planned} planned {} fired; each restored from the last checkpoint",
-        if kill_workers {
-            "worker poisoning(s)"
-        } else {
-            "kill(s)"
-        }
+        "drill: {restarts} of {planned} planned kill(s) fired; each restored from the last checkpoint"
     );
 
     let matched = clean.iter().zip(&drilled).filter(|(a, b)| a == b).count();
@@ -1586,8 +1232,8 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
     for event in &events[..cut] {
         half.observe(event);
     }
-    let mid_ckpt = half.checkpoint_bytes(cut as u64, &config);
-    let (mut lossy, at) = restore_checkpoint(&mid_ckpt, &config)?;
+    let mid_ckpt = Checkpoint::capture(&half, cut as u64, &config).to_bytes();
+    let (mut lossy, at) = Checkpoint::from_bytes(&mid_ckpt)?.resume(&config)?;
     lossy.mark_lossy_restore();
     // Skip half the remaining stream instead of replaying it: data loss.
     let tail_start = (at as usize) + (events.len() - at as usize) / 2;
@@ -1615,158 +1261,15 @@ fn cmd_crashdrill(args: &[String]) -> CliResult {
     Ok(())
 }
 
-/// `shardbench`: stream the 320-server capture through the single
-/// pipeline and through `--shards N` workers, assert every epoch
-/// snapshot is byte-identical between the two, and write the
-/// throughput/merge/memory figures to `BENCH_shard.json`.
-fn cmd_shardbench(args: &[String]) -> CliResult {
-    let mut n_shards: usize = 4;
-    let mut out = PathBuf::from("BENCH_shard.json");
-    let mut it = args.iter();
-    while let Some(a) = it.next() {
-        match a.as_str() {
-            "--shards" => {
-                n_shards = it.next().ok_or("--shards needs a count")?.parse()?;
-                if n_shards < 2 {
-                    return Err("--shards must be at least 2 (1 is the single baseline)".into());
-                }
-            }
-            "--out" => out = it.next().ok_or("--out needs a path")?.into(),
-            other => return Err(format!("unknown flag: {other}").into()),
-        }
-    }
-
-    let (baseline_log, config) = flowdiff_bench::tree_capture(9, 42, 6);
-    let (current_log, _) = flowdiff_bench::tree_capture(9, 43, 6);
-    config.validate()?;
-    let baseline = BehaviorModel::build(&baseline_log, &config);
-    let stability = analyze(&baseline_log, &baseline, &config);
-    let events: Vec<ControlEvent> = current_log.events().to_vec();
-    println!(
-        "shardbench: {} events, 320-server tree capture, 1 vs {n_shards} shard(s)",
-        events.len()
-    );
-
-    // Single-pipeline reference pass, timed.
-    let mut single = OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?;
-    let t0 = std::time::Instant::now();
-    let mut single_snaps: Vec<Vec<u8>> = Vec::new();
-    for event in &events {
-        for snap in single.observe(event) {
-            single_snaps.push(serde::to_vec(&snap));
-        }
-    }
-    if let Some(last) = single.finish() {
-        single_snaps.push(serde::to_vec(&last));
-    }
-    let single_secs = t0.elapsed().as_secs_f64();
-
-    // Sharded pass, timed, sampling worker load and the persistent
-    // pipeline's channel gauges at each boundary.
-    let mut sharded = ShardedDiffer::try_new(baseline, stability, &config, n_shards)?;
-    let t0 = std::time::Instant::now();
-    let mut sharded_snaps: Vec<Vec<u8>> = Vec::new();
-    let mut peak_open_episodes: usize = 0;
-    let mut queue_depth_peak: u64 = 0;
-    let mut busy_sum: u64 = 0;
-    let mut busy_samples: u64 = 0;
-    for event in &events {
-        let snaps = sharded.observe(event);
-        if !snaps.is_empty() {
-            let timings = sharded.take_timings();
-            queue_depth_peak = queue_depth_peak.max(timings.queue_depth_peak);
-            busy_sum += timings.worker_busy_pct;
-            busy_samples += 1;
-            let open: usize = sharded.shard_stats().iter().map(|s| s.open_episodes).sum();
-            peak_open_episodes = peak_open_episodes.max(open);
-        }
-        for snap in snaps {
-            sharded_snaps.push(serde::to_vec(&snap));
-        }
-    }
-    let merge_us = sharded.merge_micros();
-    if let Some(last) = sharded.finish() {
-        sharded_snaps.push(serde::to_vec(&last));
-    }
-    let sharded_secs = t0.elapsed().as_secs_f64();
-
-    if single_snaps != sharded_snaps {
-        let first_bad = single_snaps
-            .iter()
-            .zip(&sharded_snaps)
-            .position(|(a, b)| a != b)
-            .unwrap_or(single_snaps.len().min(sharded_snaps.len()));
-        return Err(format!(
-            "identity: FAILED — {n_shards}-shard snapshots diverge from single-shard \
-             at epoch {first_bad} ({} vs {} snapshots)",
-            single_snaps.len(),
-            sharded_snaps.len()
-        )
-        .into());
-    }
-    println!(
-        "identity: ok ({} epoch snapshots byte-identical across 1 and {n_shards} shard(s))",
-        single_snaps.len()
-    );
-
-    let single_eps = events.len() as f64 / single_secs;
-    let sharded_eps = events.len() as f64 / sharded_secs;
-    let worker_busy_pct_avg = busy_sum.checked_div(busy_samples).unwrap_or(0);
-    println!(
-        "throughput: single {single_eps:.0} events/s, sharded({n_shards}) {sharded_eps:.0} \
-         events/s (x{:.2}); merge {merge_us} us total",
-        sharded_eps / single_eps
-    );
-    println!(
-        "pipeline: persistent ({n_shards} long-lived workers); queue depth peak \
-         {queue_depth_peak} batch(es), busiest worker avg {worker_busy_pct_avg}% of epoch wall"
-    );
-    if nproc() < 4 {
-        println!(
-            "INFO: only {} core(s) visible — a parallel speedup is not expected below \
-             4 cores, so read the x-figure as overhead, not scaling; CI gates byte \
-             identity unconditionally and speedup only when nproc >= 4",
-            nproc()
-        );
-    }
-    let vm_hwm_kb = vm_hwm_kb();
-    if let Some(kb) = vm_hwm_kb {
-        println!("memory: peak RSS {kb} KiB; peak open episodes {peak_open_episodes}");
-    }
-
-    let json = format!(
-        "{{\n  \"schema\": \"flowdiff.shardbench/3\",\n  \
-         \"capture\": \"{BENCH_CAPTURE}\",\n  \"pipeline\": \"persistent\",\n  \
-         \"nproc\": {},\n  \
-         \"events\": {},\n  \"epoch_snapshots\": {},\n  \"shards\": {n_shards},\n  \
-         \"single_events_per_sec\": {single_eps:.1},\n  \
-         \"sharded_events_per_sec\": {sharded_eps:.1},\n  \
-         \"speedup\": {:.3},\n  \"merge_us_total\": {merge_us},\n  \
-         \"queue_depth_peak\": {queue_depth_peak},\n  \
-         \"worker_busy_pct_avg\": {worker_busy_pct_avg},\n  \
-         \"peak_open_episodes\": {peak_open_episodes},\n  \"vm_hwm_kb\": {}\n}}\n",
-        nproc(),
-        events.len(),
-        single_snaps.len(),
-        sharded_eps / single_eps,
-        vm_hwm_kb
-            .map(|kb| kb.to_string())
-            .unwrap_or_else(|| "null".to_string()),
-    );
-    flowdiff::checkpoint::atomic_write(&out, json.as_bytes())?;
-    println!("shardbench: wrote {}", out.display());
-    Ok(())
-}
-
-/// Name of the capture both throughput benchmarks run on, recorded in
-/// their JSON output so trajectory entries are only compared like for
+/// Name of the capture the throughput benchmark runs on, recorded in
+/// its JSON output so trajectory entries are only compared like for
 /// like.
 const BENCH_CAPTURE: &str = "tree16x20-9apps-6s";
 
 /// Schema tag for [`cmd_hotpathbench`]'s trajectory entries.
 const HOTPATH_SCHEMA: &str = "flowdiff.hotpath/1";
 
-/// `hotpathbench`: measure the single-pipeline hot path on the
+/// `hotpathbench`: measure the hot path on the
 /// 320-server capture — zero-copy wire decode feeding the incremental
 /// online differ — and append one machine-readable entry to the
 /// `BENCH_hotpath.json` trajectory: events/s (from pre-decoded events,
@@ -1798,8 +1301,7 @@ fn cmd_hotpathbench(args: &[String]) -> CliResult {
     );
 
     // Pass 1: observe-only over pre-decoded events. This is the figure
-    // the trajectory gates on — it isolates the differ hot path and is
-    // directly comparable to shardbench's single-pipeline number.
+    // the trajectory gates on — it isolates the differ hot path.
     let mut differ = OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?;
     let t0 = std::time::Instant::now();
     let mut epochs = 0u64;
@@ -1929,25 +1431,17 @@ fn vm_hwm_kb() -> Option<u64> {
         .and_then(|kb| kb.parse().ok())
 }
 
-/// Streams capture bytes through an online differ (single or sharded,
-/// per `n_shards`) and returns the union over all epochs of confirmed
-/// change keys, plus the ingestion health counters. Decode errors are
-/// tolerated (the stream resynchronizes); they show up in the health
-/// counters.
+/// Streams capture bytes through an online differ and returns the
+/// union over all epochs of confirmed change keys, plus the ingestion
+/// health counters. Decode errors are tolerated (the stream
+/// resynchronizes); they show up in the health counters.
 fn stream_changes(
     bytes: &[u8],
     baseline: BehaviorModel,
     stability: StabilityReport,
     config: &FlowDiffConfig,
-    n_shards: usize,
 ) -> Result<(BTreeSet<String>, flowdiff::records::IngestHealth), Box<dyn std::error::Error>> {
-    let mut differ = if n_shards > 1 {
-        Differ::Sharded(ShardedDiffer::try_new(
-            baseline, stability, config, n_shards,
-        )?)
-    } else {
-        Differ::Single(OnlineDiffer::try_new(baseline, stability, config)?)
-    };
+    let mut differ = OnlineDiffer::try_new(baseline, stability, config)?;
     let mut keys = BTreeSet::new();
     let mut stream = LogStream::from_wire_bytes(bytes)?;
     // Decode errors are tallied in the stream's own counters.
@@ -1956,7 +1450,7 @@ fn stream_changes(
             collect_keys(&snapshot.diff, &mut keys);
         }
     }
-    let mut health = differ.health();
+    let mut health = *differ.health();
     health.absorb_stream(stream.stats());
     if let Some(snapshot) = differ.finish() {
         collect_keys(&snapshot.diff, &mut keys);
@@ -1979,7 +1473,6 @@ fn wire_changes(
     baseline: BehaviorModel,
     stability: StabilityReport,
     config: &FlowDiffConfig,
-    n_shards: usize,
 ) -> Result<
     (
         BTreeSet<String>,
@@ -2005,7 +1498,7 @@ fn wire_changes(
             publish_capture(addr, &part, chaos.as_ref())
         }));
     }
-    let (keys, mut health) = drain_merge(live.take_merge(), baseline, stability, config, n_shards)?;
+    let (keys, mut health) = drain_merge(live.take_merge(), baseline, stability, config)?;
     for r in live.finish() {
         health.absorb_stream(r.stats);
         health.absorb_conn(r.stalls, r.disconnects, r.resumes);
@@ -2028,29 +1521,22 @@ fn wire_changes(
     Ok((keys, health, mangled))
 }
 
-/// Drains a live merge through a fresh differ (single or sharded) and
-/// returns the union of confirmed change keys plus the differ's health.
+/// Drains a live merge through a fresh differ and returns the union of
+/// confirmed change keys plus the differ's health.
 fn drain_merge(
     merge: EventMerge,
     baseline: BehaviorModel,
     stability: StabilityReport,
     config: &FlowDiffConfig,
-    n_shards: usize,
 ) -> Result<(BTreeSet<String>, flowdiff::records::IngestHealth), Box<dyn std::error::Error>> {
-    let mut differ = if n_shards > 1 {
-        Differ::Sharded(ShardedDiffer::try_new(
-            baseline, stability, config, n_shards,
-        )?)
-    } else {
-        Differ::Single(OnlineDiffer::try_new(baseline, stability, config)?)
-    };
+    let mut differ = OnlineDiffer::try_new(baseline, stability, config)?;
     let mut keys = BTreeSet::new();
     for event in merge {
         for snapshot in differ.observe(&event) {
             collect_keys(&snapshot.diff, &mut keys);
         }
     }
-    let health = differ.health();
+    let health = *differ.health();
     if let Some(snapshot) = differ.finish() {
         collect_keys(&snapshot.diff, &mut keys);
     }
@@ -2071,7 +1557,6 @@ fn wire_session_changes(
     baseline: BehaviorModel,
     stability: StabilityReport,
     config: &FlowDiffConfig,
-    n_shards: usize,
 ) -> Result<
     (
         BTreeSet<String>,
@@ -2102,7 +1587,7 @@ fn wire_session_changes(
             publish_session(addr, &part, &opts)
         }));
     }
-    let (keys, mut health) = drain_merge(live.take_merge(), baseline, stability, config, n_shards)?;
+    let (keys, mut health) = drain_merge(live.take_merge(), baseline, stability, config)?;
     let reports = live.finish();
     for r in &reports {
         health.absorb_stream(r.stats);
@@ -2115,6 +1600,31 @@ fn wire_session_changes(
             .map_err(|e| format!("publish: {e}"))?;
     }
     Ok((keys, health, reports))
+}
+
+/// Prints a drill's `fidelity:` line: recall is the share of the clean
+/// run's confirmed changes the drill also reported, precision the share
+/// of the drill's reported changes the clean run confirmed. Lost and
+/// spurious counts make both sides of the error visible.
+fn report_fidelity(clean: &BTreeSet<String>, drill: &BTreeSet<String>) {
+    let recovered = clean.intersection(drill).count();
+    let pct = |part: usize, whole: usize| {
+        if whole == 0 {
+            100.0
+        } else {
+            part as f64 * 100.0 / whole as f64
+        }
+    };
+    println!(
+        "fidelity: recall {:.1}% precision {:.1}% ({recovered}/{} confirmed changes \
+         recovered, {} lost; {} spurious of {} reported)",
+        pct(recovered, clean.len()),
+        pct(recovered, drill.len()),
+        clean.len(),
+        clean.len() - recovered,
+        drill.len() - recovered,
+        drill.len()
+    );
 }
 
 /// Keys a diff's changes by signature, direction, and implicated
@@ -2167,19 +1677,12 @@ fn conn_line(r: &netsim::net::ConnReport) -> String {
 }
 
 /// One per-epoch latency breakdown line. Deliberately NOT prefixed
-/// `epoch ` — wall-clock differs between deployment shapes, and CI
-/// diffs the `epoch ` lines of single vs sharded runs byte-for-byte.
+/// `epoch ` — wall-clock differs between runs, and CI diffs the
+/// `epoch ` lines of served vs file-based runs byte-for-byte.
 fn report_latency(epoch: u64, timings: EpochTimings) {
     println!(
-        "latency epoch {epoch:>3}  retire_us {} observe_us {} snapshot_us {} merge_us {} \
-         diff_us {}  queue_peak {} busy {}%",
-        timings.retire_us,
-        timings.observe_us,
-        timings.snapshot_us,
-        timings.merge_us,
-        timings.diff_us,
-        timings.queue_depth_peak,
-        timings.worker_busy_pct
+        "latency epoch {epoch:>3}  retire_us {} observe_us {} snapshot_us {} diff_us {}",
+        timings.retire_us, timings.observe_us, timings.snapshot_us, timings.diff_us
     );
 }
 
@@ -2314,22 +1817,17 @@ mod tests {
         let stability = analyze(&log, &baseline, &config);
         let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
         let events: Vec<ControlEvent> = current.events().to_vec();
-        let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
+        let fresh = || -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>> {
             Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
+                OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?,
                 0,
             ))
         };
         let mut clean = Vec::new();
-        let (clean_last, _, r, _) =
-            supervised_run(&events, &fresh, &config, None, None, false, |s, _| {
-                clean.push(EpochTrace::of(s))
-            })
-            .unwrap();
+        let (clean_last, _, r) = supervised_run(&events, &fresh, &config, None, None, |s, _| {
+            clean.push(EpochTrace::of(s))
+        })
+        .unwrap();
         assert_eq!(r, 0);
         clean.extend(clean_last.as_ref().map(EpochTrace::of));
         assert!(clean.len() >= 3, "drill needs epochs to kill at");
@@ -2347,181 +1845,14 @@ mod tests {
             &config,
             Some(&path),
             Some(&mut plan),
-            false,
             |s, _| drilled.push(EpochTrace::of(s)),
         );
         std::panic::set_hook(hook);
-        let (drill_last, _, restarts, _) = outcome.unwrap();
+        let (drill_last, _, restarts) = outcome.unwrap();
         drilled.extend(drill_last.as_ref().map(EpochTrace::of));
         assert_eq!(restarts as usize, kills, "every planned kill fired");
         assert_eq!(plan.remaining(), 0);
         assert_eq!(clean, drilled, "recovered run == uninterrupted run");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_supervised_run_recovers_the_single_shard_epochs() {
-        // The strongest cross-shape claim in one drill: a 3-shard
-        // supervised run with planned kills (v2 segmented checkpoints,
-        // restore, replay) reproduces the *single-shard* uninterrupted
-        // run's epoch traces byte for byte.
-        let (log, mut config) = flowdiff_bench::tree_capture(2, 7, 4);
-        config.online_epoch_us = 1_000_000;
-        config.online_window_us = 5_000_000;
-        config.checkpoint_every_epochs = 1;
-        config.restart_budget = 2;
-        config.restart_backoff_us = 1_000;
-        let baseline = BehaviorModel::build(&log, &config);
-        let stability = analyze(&log, &baseline, &config);
-        let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
-        let events: Vec<ControlEvent> = current.events().to_vec();
-
-        let single = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            ))
-        };
-        let mut clean = Vec::new();
-        let (clean_last, _, r, report) =
-            supervised_run(&events, &single, &config, None, None, false, |s, _| {
-                clean.push(EpochTrace::of(s))
-            })
-            .unwrap();
-        assert_eq!(r, 0);
-        assert!(report.is_none(), "single pipeline has no shard report");
-        clean.extend(clean_last.as_ref().map(EpochTrace::of));
-        assert!(clean.len() >= 3, "drill needs epochs to kill at");
-
-        let sharded = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    3,
-                )?),
-                0,
-            ))
-        };
-        let mut plan = CrashPlan::seeded(11, 2, clean.len() as u64 - 1);
-        let kills = plan.kill_epochs().len();
-        let path = tmp("sharded-supervised.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let mut drilled = Vec::new();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = supervised_run(
-            &events,
-            &sharded,
-            &config,
-            Some(&path),
-            Some(&mut plan),
-            false,
-            |s, _| drilled.push(EpochTrace::of(s)),
-        );
-        std::panic::set_hook(hook);
-        let (drill_last, _, restarts, report) = outcome.unwrap();
-        drilled.extend(drill_last.as_ref().map(EpochTrace::of));
-        assert_eq!(restarts as usize, kills, "every planned kill fired");
-        let (stats, _) = report.expect("sharded run reports worker loads");
-        assert_eq!(stats.len(), 3);
-        assert_eq!(
-            clean, drilled,
-            "killed 3-shard run == uninterrupted 1-shard run"
-        );
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn worker_panic_surfaces_and_recovers_exactly_once() {
-        // The persistent-pipeline drill: poisoning a long-lived shard
-        // worker mid-epoch must propagate through the channels into the
-        // supervised restart path (the coordinator only notices at its
-        // next flush/quiesce), restore from the last checkpoint, and
-        // still deliver every epoch exactly once — byte-identical to
-        // the uninterrupted single-shard run.
-        let (log, mut config) = flowdiff_bench::tree_capture(2, 7, 4);
-        config.online_epoch_us = 1_000_000;
-        config.online_window_us = 5_000_000;
-        config.checkpoint_every_epochs = 1;
-        config.restart_budget = 2;
-        config.restart_backoff_us = 1_000;
-        let baseline = BehaviorModel::build(&log, &config);
-        let stability = analyze(&log, &baseline, &config);
-        let (current, _) = flowdiff_bench::tree_capture(2, 8, 4);
-        let events: Vec<ControlEvent> = current.events().to_vec();
-
-        let single = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
-                0,
-            ))
-        };
-        let mut clean = Vec::new();
-        let (clean_last, _, r, _) =
-            supervised_run(&events, &single, &config, None, None, false, |s, _| {
-                clean.push(EpochTrace::of(s))
-            })
-            .unwrap();
-        assert_eq!(r, 0);
-        clean.extend(clean_last.as_ref().map(EpochTrace::of));
-        assert!(clean.len() >= 3, "drill needs epochs to kill at");
-
-        let sharded = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
-            Ok((
-                Differ::Sharded(ShardedDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                    3,
-                )?),
-                0,
-            ))
-        };
-        let mut plan = CrashPlan::seeded(17, 2, clean.len() as u64 - 1);
-        let kills = plan.kill_epochs().len();
-        assert!(kills >= 1, "the plan must poison at least one worker");
-        let path = tmp("worker-panic.ckpt");
-        let _ = std::fs::remove_file(&path);
-        let mut drilled = Vec::new();
-        let hook = std::panic::take_hook();
-        std::panic::set_hook(Box::new(|_| {}));
-        let outcome = supervised_run(
-            &events,
-            &sharded,
-            &config,
-            Some(&path),
-            Some(&mut plan),
-            true,
-            |s, _| drilled.push(EpochTrace::of(s)),
-        );
-        std::panic::set_hook(hook);
-        let (drill_last, _, restarts, report) = outcome.unwrap();
-        drilled.extend(drill_last.as_ref().map(EpochTrace::of));
-        // A poisoned worker never kills the coordinator synchronously,
-        // so two poisonings in one observe round can surface as a
-        // single crash — at least one restart, at most one per kill.
-        assert!(restarts >= 1, "a worker death must surface as a restart");
-        assert!(
-            restarts as usize <= kills,
-            "each poisoning costs at most one restart"
-        );
-        assert_eq!(plan.remaining(), 0, "every planned poisoning was injected");
-        let (stats, _) = report.expect("sharded run reports worker loads");
-        assert_eq!(stats.len(), 3);
-        assert_eq!(
-            clean, drilled,
-            "worker-killed 3-shard run == uninterrupted 1-shard run"
-        );
         let _ = std::fs::remove_file(&path);
     }
 
@@ -2536,13 +1867,9 @@ mod tests {
         let baseline = BehaviorModel::build(&log, &config);
         let stability = StabilityReport::all_stable(&baseline);
         let events: Vec<ControlEvent> = log.events().to_vec();
-        let fresh = || -> Result<(Differ, u64), Box<dyn std::error::Error>> {
+        let fresh = || -> Result<(OnlineDiffer, u64), Box<dyn std::error::Error>> {
             Ok((
-                Differ::Single(OnlineDiffer::try_new(
-                    baseline.clone(),
-                    stability.clone(),
-                    &config,
-                )?),
+                OnlineDiffer::try_new(baseline.clone(), stability.clone(), &config)?,
                 0,
             ))
         };
@@ -2550,15 +1877,7 @@ mod tests {
         assert!(!plan.kill_epochs().is_empty());
         let hook = std::panic::take_hook();
         std::panic::set_hook(Box::new(|_| {}));
-        let outcome = supervised_run(
-            &events,
-            &fresh,
-            &config,
-            None,
-            Some(&mut plan),
-            false,
-            |_, _| {},
-        );
+        let outcome = supervised_run(&events, &fresh, &config, None, Some(&mut plan), |_, _| {});
         std::panic::set_hook(hook);
         let err = outcome.unwrap_err();
         assert!(

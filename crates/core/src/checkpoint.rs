@@ -32,24 +32,14 @@ use std::path::Path;
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
-use crate::diff::{OnlineDiffer, ShardState, ShardedDiffer};
+use crate::diff::OnlineDiffer;
 use crate::model::BehaviorModel;
 use crate::stability::StabilityReport;
 
 /// Magic prefix of a checkpoint file.
 pub const CHECKPOINT_MAGIC: [u8; 8] = *b"FDIFFCKP";
-/// Current checkpoint format version: the sharded layout (a shared
-/// core plus independently-guarded per-shard segments).
-pub const CHECKPOINT_VERSION: u32 = 2;
-/// The legacy single-pipeline checkpoint layout; [`Checkpoint`] still
-/// writes and reads this version, and [`AnyCheckpoint`] dispatches on
-/// the stamped version so v1 files written by older builds stay
-/// readable.
-pub const CHECKPOINT_V1: u32 = 1;
-/// Magic prefix of one shard's segment inside a v2 checkpoint.
-pub const SEGMENT_MAGIC: [u8; 8] = *b"FDIFFSEG";
-/// Current per-shard segment format version.
-pub const SEGMENT_VERSION: u32 = 1;
+/// Current checkpoint format version.
+pub const CHECKPOINT_VERSION: u32 = 1;
 /// Magic prefix of a baseline-bundle file.
 pub const BASELINE_MAGIC: [u8; 8] = *b"FDIFFBAS";
 /// Current baseline-bundle format version.
@@ -99,16 +89,6 @@ pub enum PersistError {
         /// Fingerprint of the config offered at resume.
         offered: u64,
     },
-    /// One shard's segment inside a sharded checkpoint was corrupt —
-    /// named so operators know exactly which worker's state is at
-    /// stake. Strict loads surface this; salvaging loads replace the
-    /// segment with a fresh shard instead.
-    ShardSegment {
-        /// The shard whose segment failed validation.
-        shard: usize,
-        /// What was wrong with the segment.
-        error: Box<PersistError>,
-    },
     /// Filesystem-level failure while reading or writing.
     Io(std::io::Error),
 }
@@ -140,9 +120,6 @@ impl fmt::Display for PersistError {
                 "config mismatch: checkpoint written under fingerprint {stored:#018x}, \
                  resume offered {offered:#018x}"
             ),
-            PersistError::ShardSegment { shard, error } => {
-                write!(f, "shard {shard} segment: {error}")
-            }
             PersistError::Io(e) => write!(f, "i/o: {e}"),
         }
     }
@@ -326,21 +303,19 @@ impl Checkpoint {
     }
 
     /// Serializes into the guarded container (format version
-    /// [`CHECKPOINT_V1`], the single-pipeline layout).
+    /// [`CHECKPOINT_VERSION`]).
     pub fn to_bytes(&self) -> Vec<u8> {
-        seal(CHECKPOINT_MAGIC, CHECKPOINT_V1, &serde::to_vec(self))
+        seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &serde::to_vec(self))
     }
 
     /// Parses a guarded container produced by [`Checkpoint::to_bytes`].
-    /// Only reads the v1 single-pipeline layout; use [`AnyCheckpoint`]
-    /// when the file may hold either layout.
     ///
     /// # Errors
     ///
     /// Every container-level [`PersistError`] plus
     /// [`PersistError::Decode`] for a payload that fails to parse.
     pub fn from_bytes(bytes: &[u8]) -> Result<Checkpoint, PersistError> {
-        let payload = unseal(CHECKPOINT_MAGIC, CHECKPOINT_V1, bytes)?;
+        let payload = unseal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, bytes)?;
         Ok(serde::from_slice(payload)?)
     }
 
@@ -381,360 +356,6 @@ impl Checkpoint {
             });
         }
         Ok((self.differ, self.events_consumed))
-    }
-}
-
-/// The CRC-guarded index section of a v2 sharded checkpoint: run
-/// identity, the differ's shared core bytes, and the byte length of
-/// every shard segment that follows. Segment framing lives here — in
-/// CRC-protected territory — so corruption *inside* one segment can
-/// never desynchronize the walk over the others.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-struct ShardedManifest {
-    config_fingerprint: u64,
-    events_consumed: u64,
-    core: Vec<u8>,
-    segment_lens: Vec<u64>,
-}
-
-/// The durable state of a sharded online diagnosis run, persisted as
-/// FDIFFCKP **version 2**: the guarded header's CRC covers a manifest
-/// (run identity + the [`ShardedDiffer`]'s shared core + segment
-/// framing), and each shard's worker state follows as its *own* sealed
-/// [`SEGMENT_MAGIC`] container with an independent CRC.
-///
-/// The layout exists for blast-radius control: a bit flip in one
-/// shard's segment fails *that segment's* CRC only. A strict load
-/// ([`ShardedCheckpoint::from_bytes`]) names the shard in
-/// [`PersistError::ShardSegment`]; a salvaging load
-/// ([`ShardedCheckpoint::from_bytes_salvaging`]) replaces the corrupt
-/// worker with a fresh one, marks the differ's restore lossy (so
-/// appear/disappear verdicts stay gated through the warm-up window),
-/// and reports the replaced shards in `salvaged_shards` — the other
-/// N-1 workers resume with full state instead of the whole fleet
-/// rebuilding cold.
-#[derive(Debug, Clone, PartialEq)]
-pub struct ShardedCheckpoint {
-    /// Fingerprint of the [`FlowDiffConfig`] the differ was built with.
-    pub config_fingerprint: u64,
-    /// Input events consumed when the checkpoint was taken — the
-    /// replay offset.
-    pub events_consumed: u64,
-    /// The streaming state itself.
-    pub differ: ShardedDiffer,
-    /// Shards whose segments were corrupt and came back as fresh
-    /// workers. Empty for strict loads and for clean salvaging loads.
-    pub salvaged_shards: Vec<usize>,
-}
-
-impl ShardedCheckpoint {
-    /// Captures the differ's current state (cloned; the live differ
-    /// keeps running) with the given replay offset. The clone quiesces
-    /// the persistent worker pool first — every buffered step is
-    /// drained through the channels before any shard is copied — so
-    /// the captured segments are exactly the stop-the-world states and
-    /// the clone itself carries no threads (a restored differ respawns
-    /// its own pool lazily).
-    pub fn capture(differ: &ShardedDiffer, events_consumed: u64, config: &FlowDiffConfig) -> Self {
-        ShardedCheckpoint {
-            config_fingerprint: config_fingerprint(config),
-            events_consumed,
-            differ: differ.clone(),
-            salvaged_shards: Vec::new(),
-        }
-    }
-
-    /// Serializes into the v2 layout: guarded manifest, then one
-    /// sealed segment per shard.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let segments: Vec<Vec<u8>> = self
-            .differ
-            .shards_to_bytes()
-            .into_iter()
-            .map(|s| seal(SEGMENT_MAGIC, SEGMENT_VERSION, &s))
-            .collect();
-        let manifest = serde::to_vec(&ShardedManifest {
-            config_fingerprint: self.config_fingerprint,
-            events_consumed: self.events_consumed,
-            core: self.differ.core_to_bytes(),
-            segment_lens: segments.iter().map(|s| s.len() as u64).collect(),
-        });
-        let mut out = seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, &manifest);
-        for segment in &segments {
-            out.extend_from_slice(segment);
-        }
-        out
-    }
-
-    /// Strict parse of a v2 checkpoint: any corrupt segment is a typed
-    /// [`PersistError::ShardSegment`] naming the shard.
-    ///
-    /// # Errors
-    ///
-    /// Every container-level [`PersistError`],
-    /// [`PersistError::Decode`], or
-    /// [`PersistError::ShardSegment`].
-    pub fn from_bytes(bytes: &[u8]) -> Result<ShardedCheckpoint, PersistError> {
-        Self::parse(bytes, false)
-    }
-
-    /// Salvaging parse of a v2 checkpoint: a corrupt segment is
-    /// replaced by a fresh shard worker (recorded in
-    /// `salvaged_shards`), and when any segment was salvaged the
-    /// restored differ is marked as a lossy restore so its warm-up
-    /// gating applies. Manifest-level corruption is still fatal — with
-    /// the core gone there is nothing to salvage around.
-    ///
-    /// # Errors
-    ///
-    /// Container-level and manifest-level [`PersistError`]s only;
-    /// segment corruption is absorbed.
-    pub fn from_bytes_salvaging(bytes: &[u8]) -> Result<ShardedCheckpoint, PersistError> {
-        Self::parse(bytes, true)
-    }
-
-    fn parse(bytes: &[u8], salvage: bool) -> Result<ShardedCheckpoint, PersistError> {
-        // The header is seal()'s layout, but the CRC-guarded region is
-        // the manifest alone — segments trail it, each self-guarded —
-        // so this walks the frame by hand instead of using unseal().
-        if bytes.len() < 8 || bytes[..8] != CHECKPOINT_MAGIC {
-            let mut found = [0u8; 8];
-            let n = bytes.len().min(8);
-            found[..n].copy_from_slice(&bytes[..n]);
-            return Err(PersistError::BadMagic {
-                expected: CHECKPOINT_MAGIC,
-                found,
-            });
-        }
-        if bytes.len() < 24 {
-            return Err(PersistError::Truncated {
-                expected: 24,
-                found: bytes.len(),
-            });
-        }
-        let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if version != CHECKPOINT_VERSION {
-            return Err(PersistError::UnsupportedVersion {
-                supported: CHECKPOINT_VERSION,
-                found: version,
-            });
-        }
-        let manifest_len = u64::from_le_bytes(bytes[12..20].try_into().expect("8 bytes")) as usize;
-        let stored = u32::from_le_bytes(bytes[20..24].try_into().expect("4 bytes"));
-        let rest = &bytes[24..];
-        if rest.len() < manifest_len {
-            return Err(PersistError::Truncated {
-                expected: manifest_len,
-                found: rest.len(),
-            });
-        }
-        let (manifest_bytes, mut segments_bytes) = rest.split_at(manifest_len);
-        let computed = crc32(manifest_bytes);
-        if computed != stored {
-            return Err(PersistError::CrcMismatch { stored, computed });
-        }
-        let manifest: ShardedManifest = serde::from_slice(manifest_bytes)?;
-        let expected_tail: u64 = manifest.segment_lens.iter().sum();
-        if segments_bytes.len() as u64 != expected_tail {
-            return Err(PersistError::Truncated {
-                expected: expected_tail as usize,
-                found: segments_bytes.len(),
-            });
-        }
-        let mut shards: Vec<Option<ShardState>> = Vec::with_capacity(manifest.segment_lens.len());
-        let mut salvaged = Vec::new();
-        for (shard, len) in manifest.segment_lens.iter().enumerate() {
-            let (segment, tail) = segments_bytes.split_at(*len as usize);
-            segments_bytes = tail;
-            let state = unseal(SEGMENT_MAGIC, SEGMENT_VERSION, segment)
-                .and_then(|payload| Ok(serde::from_slice::<ShardState>(payload)?));
-            match state {
-                Ok(state) => shards.push(Some(state)),
-                Err(error) if salvage => {
-                    shards.push(None);
-                    salvaged.push(shard);
-                    let _ = error;
-                }
-                Err(error) => {
-                    return Err(PersistError::ShardSegment {
-                        shard,
-                        error: Box::new(error),
-                    });
-                }
-            }
-        }
-        let mut differ = ShardedDiffer::from_core_and_shards(&manifest.core, shards)?;
-        if !salvaged.is_empty() {
-            differ.mark_lossy_restore();
-        }
-        Ok(ShardedCheckpoint {
-            config_fingerprint: manifest.config_fingerprint,
-            events_consumed: manifest.events_consumed,
-            differ,
-            salvaged_shards: salvaged,
-        })
-    }
-
-    /// Atomically writes the checkpoint to `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] on filesystem failure.
-    pub fn save(&self, path: &Path) -> Result<(), PersistError> {
-        atomic_write(path, &self.to_bytes())
-    }
-
-    /// Reads and strictly validates a checkpoint from `path`.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`ShardedCheckpoint::from_bytes`] rejects.
-    pub fn load(path: &Path) -> Result<ShardedCheckpoint, PersistError> {
-        ShardedCheckpoint::from_bytes(&std::fs::read(path)?)
-    }
-
-    /// Reads a checkpoint from `path`, salvaging corrupt segments.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`ShardedCheckpoint::from_bytes_salvaging`] rejects.
-    pub fn load_salvaging(path: &Path) -> Result<ShardedCheckpoint, PersistError> {
-        ShardedCheckpoint::from_bytes_salvaging(&std::fs::read(path)?)
-    }
-
-    /// Consumes the checkpoint into a running differ and its replay
-    /// offset, verifying that `config` is the one the checkpoint was
-    /// written under.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::ConfigMismatch`] when the fingerprints disagree.
-    pub fn resume(self, config: &FlowDiffConfig) -> Result<(ShardedDiffer, u64), PersistError> {
-        let offered = config_fingerprint(config);
-        if offered != self.config_fingerprint {
-            return Err(PersistError::ConfigMismatch {
-                stored: self.config_fingerprint,
-                offered,
-            });
-        }
-        Ok((self.differ, self.events_consumed))
-    }
-}
-
-/// A checkpoint of either layout, dispatched on the version stamped in
-/// the file header — the watch loop's restore path accepts whatever
-/// the previous incarnation wrote, whether it ran sharded or not.
-// A transient dispatch wrapper (one lives per load), so the variant
-// size skew is not worth an indirection on every restore-path access.
-#[allow(clippy::large_enum_variant)]
-#[derive(Debug, Clone, PartialEq)]
-pub enum AnyCheckpoint {
-    /// A v1 single-pipeline checkpoint.
-    Single(Checkpoint),
-    /// A v2 sharded checkpoint.
-    Sharded(ShardedCheckpoint),
-}
-
-impl AnyCheckpoint {
-    /// Strict parse: segment corruption in a sharded checkpoint is an
-    /// error, not a salvage.
-    ///
-    /// # Errors
-    ///
-    /// Everything [`Checkpoint::from_bytes`] or
-    /// [`ShardedCheckpoint::from_bytes`] rejects, plus
-    /// [`PersistError::UnsupportedVersion`] for versions this build
-    /// cannot read.
-    pub fn from_bytes(bytes: &[u8]) -> Result<AnyCheckpoint, PersistError> {
-        match Self::peek_version(bytes)? {
-            CHECKPOINT_V1 => Ok(AnyCheckpoint::Single(Checkpoint::from_bytes(bytes)?)),
-            CHECKPOINT_VERSION => Ok(AnyCheckpoint::Sharded(ShardedCheckpoint::from_bytes(
-                bytes,
-            )?)),
-            found => Err(PersistError::UnsupportedVersion {
-                supported: CHECKPOINT_VERSION,
-                found,
-            }),
-        }
-    }
-
-    /// Like [`AnyCheckpoint::from_bytes`], but corrupt shard segments
-    /// in a v2 file salvage to fresh workers instead of failing.
-    ///
-    /// # Errors
-    ///
-    /// Same as [`AnyCheckpoint::from_bytes`] minus
-    /// [`PersistError::ShardSegment`].
-    pub fn from_bytes_salvaging(bytes: &[u8]) -> Result<AnyCheckpoint, PersistError> {
-        match Self::peek_version(bytes)? {
-            CHECKPOINT_V1 => Ok(AnyCheckpoint::Single(Checkpoint::from_bytes(bytes)?)),
-            CHECKPOINT_VERSION => Ok(AnyCheckpoint::Sharded(
-                ShardedCheckpoint::from_bytes_salvaging(bytes)?,
-            )),
-            found => Err(PersistError::UnsupportedVersion {
-                supported: CHECKPOINT_VERSION,
-                found,
-            }),
-        }
-    }
-
-    /// Reads and strictly parses a checkpoint of either layout.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`AnyCheckpoint::from_bytes`] rejects.
-    pub fn load(path: &Path) -> Result<AnyCheckpoint, PersistError> {
-        AnyCheckpoint::from_bytes(&std::fs::read(path)?)
-    }
-
-    /// Reads a checkpoint of either layout, salvaging corrupt shard
-    /// segments in the v2 case.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::Io`] plus everything
-    /// [`AnyCheckpoint::from_bytes_salvaging`] rejects.
-    pub fn load_salvaging(path: &Path) -> Result<AnyCheckpoint, PersistError> {
-        AnyCheckpoint::from_bytes_salvaging(&std::fs::read(path)?)
-    }
-
-    /// The replay offset stored in the checkpoint.
-    pub fn events_consumed(&self) -> u64 {
-        match self {
-            AnyCheckpoint::Single(c) => c.events_consumed,
-            AnyCheckpoint::Sharded(c) => c.events_consumed,
-        }
-    }
-
-    /// The format version stamped in a checkpoint header, without
-    /// validating the rest of the file.
-    ///
-    /// # Errors
-    ///
-    /// [`PersistError::BadMagic`] or [`PersistError::Truncated`] when
-    /// the header itself is unreadable.
-    pub fn peek_version(bytes: &[u8]) -> Result<u32, PersistError> {
-        if bytes.len() < 8 || bytes[..8] != CHECKPOINT_MAGIC {
-            let mut found = [0u8; 8];
-            let n = bytes.len().min(8);
-            found[..n].copy_from_slice(&bytes[..n]);
-            return Err(PersistError::BadMagic {
-                expected: CHECKPOINT_MAGIC,
-                found,
-            });
-        }
-        if bytes.len() < 12 {
-            return Err(PersistError::Truncated {
-                expected: 12,
-                found: bytes.len(),
-            });
-        }
-        Ok(u32::from_le_bytes(
-            bytes[8..12].try_into().expect("4 bytes"),
-        ))
     }
 }
 
@@ -805,13 +426,6 @@ mod tests {
         let reference = BehaviorModel::build(&log, config);
         let stability = StabilityReport::all_stable(&reference);
         OnlineDiffer::try_new(reference, stability, config).unwrap()
-    }
-
-    fn small_sharded_differ(config: &FlowDiffConfig, n_shards: usize) -> ShardedDiffer {
-        let log = ControllerLog::new();
-        let reference = BehaviorModel::build(&log, config);
-        let stability = StabilityReport::all_stable(&reference);
-        ShardedDiffer::try_new(reference, stability, config, n_shards).unwrap()
     }
 
     #[test]
@@ -985,130 +599,45 @@ mod tests {
     }
 
     #[test]
-    fn v1_checkpoints_stay_readable_through_any_checkpoint() {
+    fn v1_checkpoints_stay_readable() {
+        // The payload layout is unchanged since version 1: the header
+        // stamps 1 and the bytes read back into the same differ.
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
         let bytes = Checkpoint::capture(&differ, 11, &config).to_bytes();
-        assert_eq!(AnyCheckpoint::peek_version(&bytes).unwrap(), CHECKPOINT_V1);
-        match AnyCheckpoint::from_bytes(&bytes).unwrap() {
-            AnyCheckpoint::Single(c) => {
-                assert_eq!(c.events_consumed, 11);
-                let (resumed, _) = c.resume(&config).unwrap();
-                assert_eq!(resumed, differ);
-            }
-            other => panic!("v1 bytes must dispatch to Single, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn sharded_checkpoint_roundtrips_and_rejects_mismatched_config() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 3);
-        let ckpt = ShardedCheckpoint::capture(&differ, 29, &config);
-        let bytes = ckpt.to_bytes();
-        assert_eq!(
-            AnyCheckpoint::peek_version(&bytes).unwrap(),
-            CHECKPOINT_VERSION
-        );
-        let back = ShardedCheckpoint::from_bytes(&bytes).unwrap();
-        assert_eq!(back, ckpt);
-        let (resumed, offset) = back.resume(&config).unwrap();
-        assert_eq!(offset, 29);
+        assert_eq!(&bytes[..8], &CHECKPOINT_MAGIC);
+        assert_eq!(u32::from_le_bytes(bytes[8..12].try_into().unwrap()), 1);
+        let c = Checkpoint::from_bytes(&bytes).unwrap();
+        assert_eq!(c.events_consumed, 11);
+        let (resumed, _) = c.resume(&config).unwrap();
         assert_eq!(resumed, differ);
-
-        let other = FlowDiffConfig {
-            fs_rel_change: 0.75,
-            ..FlowDiffConfig::default()
-        };
-        let again = ShardedCheckpoint::from_bytes(&bytes).unwrap();
-        assert!(matches!(
-            again.resume(&other),
-            Err(PersistError::ConfigMismatch { .. })
-        ));
     }
 
     #[test]
-    fn sharded_checkpoint_save_load_through_disk() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 2);
-        let path = tmp_path("sharded-roundtrip.ckpt");
-        ShardedCheckpoint::capture(&differ, 5, &config)
-            .save(&path)
-            .unwrap();
-        match AnyCheckpoint::load(&path).unwrap() {
-            AnyCheckpoint::Sharded(c) => {
-                assert_eq!(c.events_consumed, 5);
-                let (resumed, _) = c.resume(&config).unwrap();
-                assert_eq!(resumed, differ);
-            }
-            other => panic!("v2 file must dispatch to Sharded, got {other:?}"),
-        }
-        std::fs::remove_file(&path).unwrap();
-    }
-
-    #[test]
-    fn corrupt_segment_is_named_strictly_and_salvaged_leniently() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 3);
-        let mut bytes = ShardedCheckpoint::capture(&differ, 7, &config).to_bytes();
-        // Flip a byte inside the LAST shard's segment payload: the
-        // file tail is deep inside segment 2, past its own 24-byte
-        // header.
-        let last = bytes.len() - 1;
-        bytes[last] ^= 0x10;
-
-        match ShardedCheckpoint::from_bytes(&bytes) {
-            Err(PersistError::ShardSegment { shard, error }) => {
-                assert_eq!(shard, 2, "the corrupt shard is named");
-                assert!(
-                    matches!(*error, PersistError::CrcMismatch { .. }),
-                    "segment CRC catches the flip: {error:?}"
-                );
-            }
-            other => panic!("strict load must fail on shard 2, got {other:?}"),
-        }
-
-        let salvaged = ShardedCheckpoint::from_bytes_salvaging(&bytes).unwrap();
-        assert_eq!(salvaged.salvaged_shards, vec![2]);
-        assert_eq!(salvaged.events_consumed, 7);
-        assert_eq!(salvaged.differ.n_shards(), 3);
-        // The other two workers kept their state; the differ as a
-        // whole is flagged as a lossy restore (warm-up gating).
-        let (resumed, _) = salvaged.resume(&config).unwrap();
-        assert_ne!(
-            resumed, differ,
-            "lossy-restore warm-up distinguishes the salvaged differ"
-        );
-    }
-
-    #[test]
-    fn manifest_corruption_is_fatal_even_when_salvaging() {
-        let config = FlowDiffConfig::default();
-        let differ = small_sharded_differ(&config, 2);
-        let mut bytes = ShardedCheckpoint::capture(&differ, 1, &config).to_bytes();
-        // Byte 30 sits inside the manifest (run identity + core).
-        bytes[30] ^= 0x01;
-        assert!(matches!(
-            ShardedCheckpoint::from_bytes_salvaging(&bytes),
-            Err(PersistError::CrcMismatch { .. })
-        ));
-    }
-
-    #[test]
-    fn any_checkpoint_rejects_future_versions_and_foreign_files() {
+    fn checkpoint_rejects_future_versions_and_foreign_files() {
         let config = FlowDiffConfig::default();
         let differ = small_differ(&config);
         let mut bytes = Checkpoint::capture(&differ, 0, &config).to_bytes();
         bytes[8..12].copy_from_slice(&(CHECKPOINT_VERSION + 1).to_le_bytes());
         assert!(matches!(
-            AnyCheckpoint::from_bytes(&bytes),
+            Checkpoint::from_bytes(&bytes),
             Err(PersistError::UnsupportedVersion {
                 supported: CHECKPOINT_VERSION,
                 ..
             })
         ));
+        // A version-2 header (the retired segmented layout) is refused
+        // before its payload is looked at.
+        let v2 = seal(CHECKPOINT_MAGIC, 2, b"manifest and segments");
         assert!(matches!(
-            AnyCheckpoint::from_bytes(b"FDIFFBASnot a checkpoint"),
+            Checkpoint::from_bytes(&v2),
+            Err(PersistError::UnsupportedVersion {
+                supported: 1,
+                found: 2
+            })
+        ));
+        assert!(matches!(
+            Checkpoint::from_bytes(b"FDIFFBASnot a checkpoint"),
             Err(PersistError::BadMagic { .. })
         ));
     }

@@ -9,9 +9,6 @@
 
 use std::collections::BTreeSet;
 use std::fmt;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender};
-use std::sync::{Arc, Mutex};
 
 use openflow::types::Timestamp;
 use serde::{Deserialize, Serialize};
@@ -20,8 +17,8 @@ use crate::change::{Change, SignatureKind};
 use crate::config::{ConfigError, FlowDiffConfig};
 use crate::epoch::EpochClock;
 use crate::groups::{match_group_refs, AppGroup};
-use crate::model::{BehaviorModel, IncrementalModelBuilder, ShardModel};
-use crate::records::{EventClass, RecordAssembler, RoutedEvent, ShardRouter};
+use crate::model::{BehaviorModel, IncrementalModelBuilder};
+use crate::records::RecordAssembler;
 use crate::signatures::{DiffCtx, Signature, StabilityMask};
 use crate::stability::StabilityReport;
 use netsim::log::ControlEvent;
@@ -365,44 +362,21 @@ fn gate_diff(
 pub struct EpochTimings {
     /// Retiring expired state out of the sliding windows.
     pub retire_us: u64,
-    /// Folding boundary-drained completed records into the builder
-    /// (for the sharded differ, flushing the step buffer to the
-    /// workers' batch queues).
+    /// Folding boundary-drained completed records into the builder.
     pub observe_us: u64,
-    /// Building the window model (the incremental epoch snapshot; for
-    /// the sharded differ, the barrier round-trip: queue drain plus
-    /// per-shard extraction).
+    /// Building the window model (the incremental epoch snapshot).
     pub snapshot_us: u64,
-    /// Merging per-shard partials into the window model (zero on the
-    /// single-shard differ, which has nothing to merge).
-    pub merge_us: u64,
     /// Comparing against the reference and gating the diff.
     pub diff_us: u64,
-    /// Deepest any worker's batch queue got this epoch, in batches
-    /// (zero on the single-shard differ). The gauge counts batches
-    /// handed to a channel but not yet fully processed — queued, in
-    /// service, and the one a blocked sender is waiting to enqueue —
-    /// so readings above the channel bound mean admission outran the
-    /// workers and backpressure engaged.
-    pub queue_depth_peak: u64,
-    /// The busiest worker's share of the epoch's wall-clock time,
-    /// percent (zero on the single-shard differ). Low values mean the
-    /// workers idle waiting for admission; values near 100 mean a
-    /// worker is the bottleneck.
-    pub worker_busy_pct: u64,
 }
 
 impl EpochTimings {
-    /// Accumulates another sample (for averaging across epochs): stage
-    /// durations sum, the channel gauges keep their worst case.
+    /// Accumulates another sample (for averaging across epochs).
     pub fn add(&mut self, other: EpochTimings) {
         self.retire_us += other.retire_us;
         self.observe_us += other.observe_us;
         self.snapshot_us += other.snapshot_us;
-        self.merge_us += other.merge_us;
         self.diff_us += other.diff_us;
-        self.queue_depth_peak = self.queue_depth_peak.max(other.queue_depth_peak);
-        self.worker_busy_pct = self.worker_busy_pct.max(other.worker_busy_pct);
     }
 }
 
@@ -640,7 +614,7 @@ impl OnlineDiffer {
             builder.observe_record(record);
         }
         let epoch = clock.epoch();
-        let start = Timestamp::from_micros(end.as_micros().saturating_sub(clock.window_us()));
+        let start = clock.window_start(end);
         builder.retire_before(start);
         builder.set_span((start, end));
         let model = builder.into_snapshot();
@@ -674,8 +648,7 @@ impl OnlineDiffer {
                 }
             });
         }
-        let start =
-            Timestamp::from_micros(boundary.as_micros().saturating_sub(self.clock.window_us()));
+        let start = self.clock.window_start(boundary);
         timed(&mut self.timings.retire_us, || {
             self.builder.retire_before(start);
         });
@@ -715,1029 +688,6 @@ impl OnlineDiffer {
             gating,
         }
     }
-}
-
-/// One shard worker's streaming state: its slice of the record
-/// assembly, and the model builder fed its slice of the raw events.
-///
-/// The shard's assembler runs with `reorder_slack_us = 0` and
-/// `max_time_jump_us = 0` — re-sequencing and quarantine are the
-/// splitter's job, and double-applying either would diverge from the
-/// single-shard pipeline.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardState {
-    assembler: RecordAssembler,
-    builder: IncrementalModelBuilder,
-}
-
-impl ShardState {
-    /// A fresh shard worker (also the degraded-restore replacement when
-    /// one shard's checkpoint segment is corrupt).
-    pub fn fresh(config: &FlowDiffConfig) -> ShardState {
-        let shard_config = FlowDiffConfig {
-            reorder_slack_us: 0,
-            max_time_jump_us: 0,
-            ..config.clone()
-        };
-        ShardState {
-            assembler: RecordAssembler::new(&shard_config),
-            builder: IncrementalModelBuilder::new(config),
-        }
-    }
-
-    /// Consumes one released event the way the single-shard assembler
-    /// would, from shard `me`'s point of view:
-    ///
-    /// - every `FlowMod` is processed in full on every shard, so each
-    ///   shard's xid table is an identical replica (xids collide across
-    ///   tuples, and pairing is global-by-xid — the paired send time and
-    ///   output port are in the record bytes),
-    /// - an owned event runs the full state machine,
-    /// - an unparseable `PacketIn` advances the clock *without* a prune
-    ///   check on every shard (the single-shard early-return quirk),
-    /// - everything else advances the clock with the prune check, so
-    ///   every shard evicts idle state on exactly the single-shard
-    ///   schedule (eviction timing decides which straggling replies
-    ///   still patch their episode — it is visible in record bytes).
-    fn feed(&mut self, me: u32, routed: &RoutedEvent) {
-        match routed.class {
-            EventClass::FlowMod => {
-                self.assembler.observe(&routed.event);
-            }
-            EventClass::OpaquePacketIn => self.assembler.advance_now(routed.event.ts),
-            _ if routed.shard == me => {
-                self.assembler.observe(&routed.event);
-            }
-            _ => self.assembler.advance_clock(routed.event.ts),
-        }
-    }
-
-    /// Applies one admission step from shard `me`'s point of view.
-    /// The step stream interleaves two independent state machines:
-    /// arrivals feed the owning shard's model builder (the single-shard
-    /// builder sees every event at arrival), releases feed every
-    /// shard's assembler through the per-event rule in
-    /// [`ShardState::feed`]. Because the two machines share no state
-    /// between barriers, replaying the stream in order on a worker
-    /// thread reproduces exactly what the coordinator applying each
-    /// step inline would have produced.
-    fn step(&mut self, me: u32, step: &Step) {
-        match step {
-            Step::Arrive { shard, event } => {
-                if *shard == me {
-                    self.builder.observe_event(event);
-                }
-            }
-            Step::Release(routed) => self.feed(me, routed),
-        }
-    }
-
-    /// Epoch-boundary extraction, mirroring [`OnlineDiffer::snapshot_at`]
-    /// per shard: completed records drain into the builder, state older
-    /// than `start` retires, and the builder's held window plus the
-    /// still-in-window in-flight episodes becomes this shard's merge
-    /// input — no probe clone, no per-epoch rebuild.
-    fn extract(&mut self, start: Timestamp) -> ShardModel {
-        for record in self.assembler.take_completed() {
-            self.builder.observe_record(record);
-        }
-        self.builder.retire_before(start);
-        let opens: Vec<_> = self
-            .assembler
-            .open_records()
-            .into_iter()
-            .filter(|r| r.first_seen >= start)
-            .collect();
-        self.builder.shard_model_with_opens(opens)
-    }
-}
-
-/// Per-shard load figures for the watch `stats:` line.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct ShardStats {
-    /// Shard index.
-    pub shard: usize,
-    /// Records currently held in the shard's window builder.
-    pub records: usize,
-    /// In-flight episodes in the shard's assembler.
-    pub open_episodes: usize,
-}
-
-/// Steps per batch shipped to the worker queues: large enough to
-/// amortize the channel round-trip and the per-worker scan setup,
-/// small enough that admission→model latency stays well under an
-/// epoch.
-const BATCH_STEPS: usize = 128;
-
-/// Bound of each worker's batch queue, in batches. A full queue blocks
-/// admission (backpressure) instead of buffering unboundedly; the
-/// [`EpochTimings::queue_depth_peak`] gauge reads above this value
-/// when that happens.
-const QUEUE_BATCHES: usize = 8;
-
-/// One admission step, broadcast to every worker in arrival order.
-#[derive(Debug, Clone)]
-enum Step {
-    /// An event admitted at arrival: the owning shard's model builder
-    /// observes it, exactly when the single-shard builder would.
-    Arrive { shard: u32, event: ControlEvent },
-    /// An event released by the reorder buffer, in release order:
-    /// every shard's assembler consumes it (see [`ShardState::feed`]).
-    Release(RoutedEvent),
-}
-
-/// A message on one worker's batch queue.
-enum WorkerMsg {
-    /// A batch of admission steps, shared across all workers, to apply
-    /// in order.
-    Batch(Arc<Vec<Step>>),
-    /// In-band epoch barrier: everything enqueued before it is part of
-    /// the closing epoch. The worker extracts its merge partial for
-    /// the window starting at `start` and replies with it.
-    Barrier { start: Timestamp },
-    /// Quiesce: reply once every prior message has been applied.
-    Sync,
-    /// Crash-drill injection: panic on receipt, mid-queue, the way a
-    /// real defect in worker code would.
-    Poison,
-}
-
-/// A worker's reply on the barrier/quiesce channel.
-enum WorkerReply {
-    /// The shard's merge input at an epoch barrier, plus the
-    /// microseconds the worker spent busy since the previous barrier.
-    Partial { model: ShardModel, busy_us: u64 },
-    /// Quiesce acknowledgement: the queue is drained.
-    Synced,
-}
-
-/// The coordinator's handle to one worker: its bounded batch queue,
-/// its reply channel, and the shared queue-depth gauge.
-#[derive(Debug)]
-struct WorkerLink {
-    queue: SyncSender<WorkerMsg>,
-    replies: Receiver<WorkerReply>,
-    depth: Arc<AtomicUsize>,
-}
-
-/// The long-lived worker threads of one [`ShardedDiffer`] run.
-/// Spawned exactly once (lazily, at the first observed event) and
-/// joined when the differ finishes, drops, or is torn down by a
-/// supervised restart.
-#[derive(Debug)]
-struct Pipeline {
-    links: Vec<WorkerLink>,
-    handles: Vec<std::thread::JoinHandle<()>>,
-}
-
-impl Pipeline {
-    fn spawn(states: &[Arc<Mutex<ShardState>>]) -> Pipeline {
-        let mut links = Vec::with_capacity(states.len());
-        let mut handles = Vec::with_capacity(states.len());
-        for (i, state) in states.iter().enumerate() {
-            let (queue, inbox) = sync_channel(QUEUE_BATCHES);
-            let (reply_tx, replies) = channel();
-            let depth = Arc::new(AtomicUsize::new(0));
-            let state = Arc::clone(state);
-            let gauge = Arc::clone(&depth);
-            let handle = std::thread::Builder::new()
-                .name(format!("flowdiff-shard-{i}"))
-                .spawn(move || shard_worker(i as u32, state, inbox, reply_tx, gauge))
-                .expect("spawning a shard worker thread");
-            links.push(WorkerLink {
-                queue,
-                replies,
-                depth,
-            });
-            handles.push(handle);
-        }
-        Pipeline { links, handles }
-    }
-}
-
-impl Drop for Pipeline {
-    fn drop(&mut self) {
-        // Disconnect every queue first — workers exit their recv loop —
-        // then join. A worker that died panicking joins as `Err`, which
-        // is deliberately swallowed here: its death already surfaced as
-        // a coordinator panic through the closed channels, and Drop may
-        // itself be running during that unwind.
-        self.links.clear();
-        for handle in self.handles.drain(..) {
-            let _ = handle.join();
-        }
-    }
-}
-
-/// The worker loop: apply batches, answer barriers with the shard's
-/// merge partial, acknowledge quiesces. Exits when the coordinator
-/// drops its end of either channel.
-fn shard_worker(
-    me: u32,
-    state: Arc<Mutex<ShardState>>,
-    inbox: Receiver<WorkerMsg>,
-    replies: Sender<WorkerReply>,
-    depth: Arc<AtomicUsize>,
-) {
-    let mut busy_us = 0u64;
-    while let Ok(msg) = inbox.recv() {
-        match msg {
-            WorkerMsg::Batch(steps) => {
-                let t0 = std::time::Instant::now();
-                {
-                    let mut st = state.lock().expect("shard state poisoned");
-                    for step in steps.iter() {
-                        st.step(me, step);
-                    }
-                }
-                busy_us += t0.elapsed().as_micros() as u64;
-                depth.fetch_sub(1, Ordering::AcqRel);
-            }
-            WorkerMsg::Barrier { start } => {
-                let t0 = std::time::Instant::now();
-                let model = state.lock().expect("shard state poisoned").extract(start);
-                busy_us += t0.elapsed().as_micros() as u64;
-                let report = std::mem::take(&mut busy_us);
-                if replies
-                    .send(WorkerReply::Partial {
-                        model,
-                        busy_us: report,
-                    })
-                    .is_err()
-                {
-                    return;
-                }
-            }
-            WorkerMsg::Sync => {
-                if replies.send(WorkerReply::Synced).is_err() {
-                    return;
-                }
-            }
-            WorkerMsg::Poison => panic!("shard worker {me} poisoned (crash drill)"),
-        }
-    }
-}
-
-/// Steps admitted but not yet shipped to the worker queues, plus the
-/// deepest queue observed since the gauge was last harvested. Behind a
-/// mutex so `&self` paths (serialization, equality, health) can flush
-/// before quiescing; only the coordinator thread ever takes it.
-#[derive(Debug, Default)]
-struct Pending {
-    steps: Vec<Step>,
-    peak_depth: usize,
-}
-
-/// The sharded online differ: N persistent shard workers behind a
-/// [`ShardRouter`], merged into one model (and diffed once) at every
-/// epoch boundary.
-///
-/// The contract is exact equivalence: for any shard count, every
-/// emitted [`EpochSnapshot`] is `PartialEq`- and
-/// serialization-byte-identical to the single-shard
-/// [`OnlineDiffer`]'s. The pieces that make that hold:
-///
-/// - the **splitter** owns everything arrival-ordered (quarantine,
-///   out-of-order accounting, the reorder buffer) plus a release-order
-///   xid ledger for the global-by-xid health counts,
-/// - every admission becomes `Step`s — the arrival (owner's builder
-///   feed, exactly when the single-shard builder sees the event) and
-///   the reorder buffer's releases (each worker applies the per-event
-///   rule: own flow → full observe, foreign `FlowMod` → full observe,
-///   opaque `PacketIn` → clock advance to now, anything else foreign →
-///   plain clock advance) — batched and broadcast over bounded
-///   channels to **long-lived worker threads** that drain their queues
-///   while the router keeps admitting,
-/// - epoch boundaries travel **in-band as barrier messages**: a worker
-///   reaching the barrier has applied every pre-boundary step and
-///   nothing after, so the partial it extracts is exactly the scoped
-///   stop-the-world extraction of the previous architecture,
-/// - at a barrier, per-shard partials merge on the coordinator via
-///   [`IncrementalModelBuilder::merge`] through the same
-///   sort-and-assemble core the single-shard snapshot uses.
-///
-/// Identity is insensitive to the pipelining because each worker's two
-/// state machines (builder, assembler) are deterministic functions of
-/// their own slice of the step stream, and the stream order is fixed
-/// at admission — *when* a worker gets around to applying a batch is
-/// unobservable. Anything that wants to look at worker state —
-/// serialization, equality, checkpoint capture, the health rollup —
-/// first runs the **quiesce protocol** (flush the step buffer, then a
-/// `Sync` round-trip per worker), after which the states are exactly
-/// what a stop-the-world run would hold.
-///
-/// Worker threads spawn lazily, exactly once per run, at the first
-/// observed event; clones and checkpoint restores start with no
-/// threads until they observe. A worker panic (or the crash-drill
-/// poison) closes its channels, and the coordinator turns the closed
-/// channel into a panic of its own at the next flush, barrier, or
-/// quiesce — which is exactly what the supervised restart path in
-/// `flowdiff-bench` catches before restoring from the last checkpoint.
-///
-/// `new(.., 1)` is a valid degenerate configuration, but callers
-/// wanting the exact legacy code path (no routing, no channels, no
-/// threads) should keep using [`OnlineDiffer`].
-///
-/// The differ serializes for checkpointing in two granularities: whole
-/// (`Serialize`), or split into a shared core plus per-shard segments
-/// (the FDIFFCKP v2 layout, so one shard's corrupt segment doesn't
-/// lose the fleet — see [`crate::checkpoint::ShardedCheckpoint`]).
-#[derive(Debug)]
-pub struct ShardedDiffer {
-    reference: BehaviorModel,
-    stability: StabilityReport,
-    config: FlowDiffConfig,
-    splitter: ShardRouter,
-    /// Shard worker states, shared with the pipeline threads. The
-    /// coordinator locks one only at a quiesce point (or, before the
-    /// pipeline spawns, when it is the sole owner).
-    states: Vec<Arc<Mutex<ShardState>>>,
-    /// Released events restored from a checkpoint taken before this
-    /// run's pipeline spawned; converted to [`Step::Release`]s at
-    /// spawn. Always empty while the pipeline is live, so serialized
-    /// cores stay byte-compatible with the pre-pipeline layout.
-    chunk: Vec<RoutedEvent>,
-    /// The step buffer: at most one batch accumulates here between
-    /// queue sends.
-    pending: Mutex<Pending>,
-    /// The long-lived worker threads; `None` until the first observed
-    /// event (and on every clone and checkpoint restore, so capturing
-    /// a checkpoint never spawns threads).
-    pipeline: Option<Pipeline>,
-    clock: EpochClock,
-    warm_until: Option<Timestamp>,
-    /// Transient transport-degradation note (see
-    /// [`OnlineDiffer::set_ingest_degraded`]); excluded from equality
-    /// and serialization.
-    ingest_degraded: Option<String>,
-    /// Cumulative time spent in boundary merges (diagnostics only:
-    /// excluded from equality and serialization).
-    merge_micros: u64,
-    /// Per-stage boundary timings since the last
-    /// [`take_timings`](Self::take_timings) (diagnostics only: excluded
-    /// from equality and serialization).
-    timings: EpochTimings,
-    /// Wall-clock start of the current epoch, for the worker busy
-    /// fraction (diagnostics only).
-    epoch_wall: Option<std::time::Instant>,
-}
-
-impl ShardedDiffer {
-    /// A sharded differ over `n_shards` workers (clamped to at least
-    /// one). The shard count is a runtime deployment choice, not part
-    /// of [`FlowDiffConfig`] — checkpoint fingerprints stay comparable
-    /// across shard counts.
-    ///
-    /// # Panics
-    ///
-    /// Panics when the config fails [`FlowDiffConfig::validate`]; use
-    /// [`ShardedDiffer::try_new`] to handle invalid configs gracefully.
-    pub fn new(
-        reference: BehaviorModel,
-        stability: StabilityReport,
-        config: &FlowDiffConfig,
-        n_shards: usize,
-    ) -> ShardedDiffer {
-        ShardedDiffer::try_new(reference, stability, config, n_shards)
-            .expect("invalid FlowDiffConfig")
-    }
-
-    /// Like [`ShardedDiffer::new`], but reports invalid configs.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`ConfigError`] from [`FlowDiffConfig::validate`].
-    pub fn try_new(
-        reference: BehaviorModel,
-        stability: StabilityReport,
-        config: &FlowDiffConfig,
-        n_shards: usize,
-    ) -> Result<ShardedDiffer, ConfigError> {
-        config.validate()?;
-        let n = n_shards.max(1);
-        Ok(ShardedDiffer {
-            reference,
-            stability,
-            config: config.clone(),
-            splitter: ShardRouter::new(config, n),
-            states: (0..n)
-                .map(|_| Arc::new(Mutex::new(ShardState::fresh(config))))
-                .collect(),
-            chunk: Vec::new(),
-            pending: Mutex::new(Pending::default()),
-            pipeline: None,
-            clock: EpochClock::new(config.online_epoch_us, config.online_window_us),
-            warm_until: None,
-            ingest_degraded: None,
-            merge_micros: 0,
-            timings: EpochTimings::default(),
-            epoch_wall: None,
-        })
-    }
-
-    /// Number of shard workers.
-    pub fn n_shards(&self) -> usize {
-        self.states.len()
-    }
-
-    /// The zero-based index of the next epoch to be emitted.
-    pub fn epoch(&self) -> u64 {
-        self.clock.epoch()
-    }
-
-    /// Cumulative microseconds spent merging shard partials at epoch
-    /// boundaries.
-    pub fn merge_micros(&self) -> u64 {
-        self.merge_micros
-    }
-
-    /// Per-stage boundary timings since the last call, reset on read —
-    /// the sharded mirror of [`OnlineDiffer::take_timings`]. Here
-    /// `observe_us` covers the boundary flush of the step buffer into
-    /// the worker queues, `snapshot_us` the barrier round-trip (queue
-    /// drain plus per-shard extraction), `merge_us` the coordinator's
-    /// merge of the partials, and `retire_us` stays zero (retirement
-    /// happens inside the workers' extraction and is counted with it).
-    /// The channel gauges (`queue_depth_peak`, `worker_busy_pct`) are
-    /// per-epoch highs rather than sums.
-    pub fn take_timings(&mut self) -> EpochTimings {
-        std::mem::take(&mut self.timings)
-    }
-
-    /// Global ingestion health: the splitter's arrival/ledger counters
-    /// plus the shard-local counters (evictions, orphan removals, stale
-    /// attaches) summed across workers. Shard-local copies of the
-    /// global-by-xid counters are ignored — every shard sees every
-    /// `FlowMod`, so summing those would multiply them by N.
-    ///
-    /// Quiesces the pipeline first, so the rollup is exact — equal to
-    /// the single-shard differ's counters at the same point in the
-    /// stream, with no one-epoch flush lag.
-    pub fn health(&self) -> crate::records::IngestHealth {
-        self.quiesce();
-        let mut health = *self.splitter.health();
-        for state in &self.states {
-            let state = state.lock().expect("shard state poisoned");
-            let sh = state.assembler.health();
-            health.episodes_evicted += sh.episodes_evicted;
-            health.orphan_flow_removeds += sh.orphan_flow_removeds;
-            health.stale_attaches += sh.stale_attaches;
-        }
-        health
-    }
-
-    /// Folds frame-level decode counters into the global health.
-    pub fn absorb_stream(&mut self, stats: netsim::log::StreamStats) {
-        self.splitter.absorb_stream(stats);
-    }
-
-    /// Per-shard load figures (records held, in-flight episodes),
-    /// quiesced so the figures are a consistent cut of the stream.
-    pub fn shard_stats(&self) -> Vec<ShardStats> {
-        self.quiesce();
-        self.states
-            .iter()
-            .enumerate()
-            .map(|(shard, s)| {
-                let s = s.lock().expect("shard state poisoned");
-                ShardStats {
-                    shard,
-                    records: s.builder.record_count(),
-                    open_episodes: s.assembler.open_len(),
-                }
-            })
-            .collect()
-    }
-
-    /// Rough heap footprint of the sharded pipeline's own state (the
-    /// splitter, the buffered steps, and every shard's builder).
-    /// Approximate by design: worker states are sampled under their
-    /// locks without a quiesce.
-    pub fn approx_bytes(&self) -> usize {
-        let buffered = self.chunk.len()
-            + self
-                .pending
-                .lock()
-                .expect("pending steps poisoned")
-                .steps
-                .len();
-        self.splitter.approx_bytes()
-            + buffered * std::mem::size_of::<RoutedEvent>()
-            + self
-                .states
-                .iter()
-                .map(|s| {
-                    s.lock()
-                        .expect("shard state poisoned")
-                        .builder
-                        .approx_bytes()
-                })
-                .sum::<usize>()
-    }
-
-    /// Declares a restore without replay — same contract as
-    /// [`OnlineDiffer::mark_lossy_restore`], keyed off the splitter's
-    /// arrival clock.
-    pub fn mark_lossy_restore(&mut self) {
-        let now = self.splitter.max_arrival();
-        self.warm_until = Some(Timestamp::from_micros(
-            now.as_micros()
-                .saturating_add(self.config.restore_warmup_us),
-        ));
-    }
-
-    /// Sets (or clears) the transport-degradation note — same contract
-    /// as [`OnlineDiffer::set_ingest_degraded`].
-    pub fn set_ingest_degraded(&mut self, reason: Option<String>) {
-        self.ingest_degraded = reason;
-    }
-
-    /// Feeds one event — the sharded mirror of
-    /// [`OnlineDiffer::observe`]: boundary snapshots are emitted from
-    /// state *before* this event, then the event is admitted, routed,
-    /// and its steps enqueued toward the workers. Admission returns as
-    /// soon as the steps are buffered (or, at a batch boundary, handed
-    /// to the queues) — the workers drain concurrently.
-    pub fn observe(&mut self, event: &ControlEvent) -> Vec<EpochSnapshot> {
-        self.ensure_pipeline();
-        // A quarantined timestamp must not drive the epoch clock either.
-        if self.splitter.quarantines(event.ts) {
-            let mut released = Vec::new();
-            let admitted = self.splitter.admit(event, &mut released);
-            debug_assert!(admitted.is_none(), "quarantines() and admit() disagree");
-            self.enqueue(None, released);
-            return Vec::new();
-        }
-        let mut out = Vec::new();
-        for (epoch, boundary) in self.clock.advance(event.ts) {
-            out.push(self.snapshot_at(epoch, boundary));
-        }
-        let mut released = Vec::new();
-        let owner = self.splitter.admit(event, &mut released);
-        let arrive = owner.map(|shard| Step::Arrive {
-            shard,
-            event: event.clone(),
-        });
-        self.enqueue(arrive, released);
-        out
-    }
-
-    /// Injects a panic into shard `shard`'s worker, in-queue — the
-    /// crash-drill hook behind `flowdiff-bench crashdrill
-    /// --kill-worker`. The worker dies when it reaches the poison;
-    /// the coordinator's next flush, barrier, or quiesce then panics
-    /// on the closed channel, which is the supervised restart path's
-    /// cue to restore from the last checkpoint.
-    pub fn poison_worker(&mut self, shard: usize) {
-        self.ensure_pipeline();
-        let pipeline = self.pipeline.as_ref().expect("pipeline just ensured");
-        let link = &pipeline.links[shard % pipeline.links.len()];
-        let _ = link.queue.send(WorkerMsg::Poison);
-    }
-
-    /// Flushes the final partial epoch across all shards. None when no
-    /// event was ever observed.
-    pub fn finish(mut self) -> Option<EpochSnapshot> {
-        // Everything still in flight — a restored pre-pipeline chunk,
-        // the reorder buffer's tail, the step buffer — becomes steps.
-        {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            let mut steps: Vec<Step> = std::mem::take(&mut self.chunk)
-                .into_iter()
-                .map(Step::Release)
-                .collect();
-            steps.append(&mut pending.steps);
-            pending.steps = steps;
-        }
-        {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            pending
-                .steps
-                .extend(self.splitter.drain().into_iter().map(Step::Release));
-        }
-        if self.pipeline.is_some() {
-            self.flush_pending();
-            self.quiesce();
-        } else {
-            // Never observed (or restored and immediately finished):
-            // no threads to hand the tail to — apply it inline.
-            let steps =
-                std::mem::take(&mut self.pending.lock().expect("pending steps poisoned").steps);
-            for (i, state) in self.states.iter().enumerate() {
-                let mut st = state.lock().expect("shard state poisoned");
-                for step in &steps {
-                    st.step(i as u32, step);
-                }
-            }
-        }
-        // Tear the pipeline down (queues disconnect, workers join);
-        // after this the coordinator is the sole owner of every state.
-        drop(self.pipeline.take());
-        let shards: Vec<ShardState> = std::mem::take(&mut self.states)
-            .into_iter()
-            .map(|state| match Arc::try_unwrap(state) {
-                Ok(mutex) => mutex.into_inner().expect("shard state poisoned"),
-                Err(shared) => shared.lock().expect("shard state poisoned").clone(),
-            })
-            .collect();
-        let end = shards
-            .iter()
-            .filter_map(|s| s.builder.observed_span())
-            .map(|(_, hi)| hi)
-            .max()?;
-        let epoch = self.clock.epoch();
-        let start = self.clock.window_start(end);
-        let mut parts = Vec::with_capacity(shards.len());
-        for shard in shards {
-            let ShardState {
-                assembler,
-                mut builder,
-            } = shard;
-            for record in assembler.finish() {
-                builder.observe_record(record);
-            }
-            builder.retire_before(start);
-            parts.push(builder.into_shard_model());
-        }
-        let model =
-            IncrementalModelBuilder::merge(parts, Some((start, end)), &self.config, workers());
-        let mut diff = compare(&self.reference, &model, &self.stability, &self.config);
-        let gating = gate_diff(
-            &self.reference,
-            &model,
-            self.warm_until,
-            end,
-            self.ingest_degraded.as_deref(),
-            &mut diff,
-        );
-        Some(EpochSnapshot {
-            epoch,
-            window: (start, end),
-            records: model.records.len(),
-            model,
-            diff,
-            gating,
-        })
-    }
-
-    /// Spawns the worker threads on first use — exactly once per run.
-    /// A chunk restored from a pre-quiesce checkpoint becomes the head
-    /// of the step stream here, before any newly admitted event.
-    fn ensure_pipeline(&mut self) {
-        if self.pipeline.is_some() {
-            return;
-        }
-        self.pipeline = Some(Pipeline::spawn(&self.states));
-        self.epoch_wall = Some(std::time::Instant::now());
-        if !self.chunk.is_empty() {
-            let restored = std::mem::take(&mut self.chunk);
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            let mut steps: Vec<Step> = restored.into_iter().map(Step::Release).collect();
-            steps.append(&mut pending.steps);
-            pending.steps = steps;
-        }
-    }
-
-    /// Buffers one admission's steps (releases in release order, then
-    /// the arrival) and ships a batch once enough accumulate.
-    fn enqueue(&self, arrive: Option<Step>, released: Vec<RoutedEvent>) {
-        let full = {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            pending
-                .steps
-                .extend(released.into_iter().map(Step::Release));
-            pending.steps.extend(arrive);
-            pending.steps.len() >= BATCH_STEPS
-        };
-        if full {
-            self.flush_pending();
-        }
-    }
-
-    /// Ships the buffered steps as one `Arc`-shared batch to every
-    /// worker queue. The queues are bounded: a worker more than
-    /// [`QUEUE_BATCHES`] batches behind blocks admission here
-    /// (backpressure) instead of letting the buffer grow without
-    /// bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics when a worker has exited — its queue is closed — which
-    /// propagates a worker panic into the coordinator for the
-    /// supervised restart path to catch.
-    fn flush_pending(&self) {
-        let Some(pipeline) = self.pipeline.as_ref() else {
-            return;
-        };
-        let mut pending = self.pending.lock().expect("pending steps poisoned");
-        if pending.steps.is_empty() {
-            return;
-        }
-        let batch = Arc::new(std::mem::take(&mut pending.steps));
-        for (i, link) in pipeline.links.iter().enumerate() {
-            let depth = link.depth.fetch_add(1, Ordering::AcqRel) + 1;
-            pending.peak_depth = pending.peak_depth.max(depth);
-            if link
-                .queue
-                .send(WorkerMsg::Batch(Arc::clone(&batch)))
-                .is_err()
-            {
-                panic!("shard worker {i} exited mid-run; cannot deliver a batch");
-            }
-        }
-    }
-
-    /// The drain-to-barrier quiesce: flush the step buffer, then a
-    /// `Sync` round-trip per worker. When this returns, every worker
-    /// has applied every step admitted so far and its state is exactly
-    /// the stop-the-world state — safe to lock for serialization,
-    /// equality, checkpoint capture, or the health rollup. A no-op
-    /// before the pipeline spawns (the coordinator is sole owner and
-    /// nothing is in flight).
-    ///
-    /// # Panics
-    ///
-    /// Panics when a worker has exited (see [`Self::flush_pending`]).
-    fn quiesce(&self) {
-        let Some(pipeline) = self.pipeline.as_ref() else {
-            return;
-        };
-        self.flush_pending();
-        for (i, link) in pipeline.links.iter().enumerate() {
-            if link.queue.send(WorkerMsg::Sync).is_err() {
-                panic!("shard worker {i} exited mid-run; cannot quiesce");
-            }
-        }
-        for (i, link) in pipeline.links.iter().enumerate() {
-            match link.replies.recv() {
-                Ok(WorkerReply::Synced) => {}
-                _ => panic!("shard worker {i} died during quiesce"),
-            }
-        }
-    }
-
-    /// Boundary: flush the step buffer, send the in-band barrier,
-    /// collect every shard's partial, merge once, diff once. Admission
-    /// stalls only for the barrier round-trip — between boundaries the
-    /// workers consume their queues while the router admits.
-    fn snapshot_at(&mut self, epoch: u64, boundary: Timestamp) -> EpochSnapshot {
-        let flush_start = std::time::Instant::now();
-        self.flush_pending();
-        self.timings.observe_us += flush_start.elapsed().as_micros() as u64;
-        let start = self.clock.window_start(boundary);
-        let barrier_start = std::time::Instant::now();
-        let pipeline = self
-            .pipeline
-            .as_ref()
-            .expect("observe() spawns the pipeline before advancing the clock");
-        for (i, link) in pipeline.links.iter().enumerate() {
-            if link.queue.send(WorkerMsg::Barrier { start }).is_err() {
-                panic!("shard worker {i} exited mid-run; cannot reach the epoch barrier");
-            }
-        }
-        let mut parts: Vec<ShardModel> = Vec::with_capacity(pipeline.links.len());
-        let mut busy_peak_us = 0u64;
-        for (i, link) in pipeline.links.iter().enumerate() {
-            match link.replies.recv() {
-                Ok(WorkerReply::Partial { model, busy_us }) => {
-                    busy_peak_us = busy_peak_us.max(busy_us);
-                    parts.push(model);
-                }
-                _ => panic!("shard worker {i} died before the epoch barrier"),
-            }
-        }
-        self.timings.snapshot_us += barrier_start.elapsed().as_micros() as u64;
-        // The busy gauge needs a real wall-clock span. With no prior
-        // mark (a differ restored from a checkpoint or deserialized
-        // mid-stream), fabricating a 1µs wall would saturate the gauge
-        // to a spurious 100% — skip the update and just seed the mark.
-        if let Some(prev) = self.epoch_wall {
-            let wall_us = (prev.elapsed().as_micros() as u64).max(1);
-            self.timings.worker_busy_pct = self
-                .timings
-                .worker_busy_pct
-                .max(busy_peak_us.min(wall_us) * 100 / wall_us);
-        }
-        self.epoch_wall = Some(std::time::Instant::now());
-        {
-            let mut pending = self.pending.lock().expect("pending steps poisoned");
-            self.timings.queue_depth_peak =
-                self.timings.queue_depth_peak.max(pending.peak_depth as u64);
-            pending.peak_depth = 0;
-        }
-        let merge_start = std::time::Instant::now();
-        let model =
-            IncrementalModelBuilder::merge(parts, Some((start, boundary)), &self.config, workers());
-        let merged_us = merge_start.elapsed().as_micros() as u64;
-        self.merge_micros += merged_us;
-        self.timings.merge_us += merged_us;
-        let (diff, gating) = timed(&mut self.timings.diff_us, || {
-            let mut diff = compare(&self.reference, &model, &self.stability, &self.config);
-            let gating = gate_diff(
-                &self.reference,
-                &model,
-                self.warm_until,
-                boundary,
-                self.ingest_degraded.as_deref(),
-                &mut diff,
-            );
-            (diff, gating)
-        });
-        EpochSnapshot {
-            epoch,
-            window: (start, boundary),
-            records: model.records.len(),
-            model,
-            diff,
-            gating,
-        }
-    }
-
-    /// The shared-core half of the FDIFFCKP v2 split: everything except
-    /// the per-shard worker states. Quiesces first, so the serialized
-    /// chunk is empty whenever the pipeline is live — the wire layout
-    /// is unchanged from the pre-pipeline format, and a core written by
-    /// either architecture restores into this one.
-    pub(crate) fn core_to_bytes(&self) -> Vec<u8> {
-        self.quiesce();
-        let mut out = Vec::new();
-        self.reference.serialize(&mut out);
-        self.stability.serialize(&mut out);
-        self.config.serialize(&mut out);
-        self.splitter.serialize(&mut out);
-        self.chunk.serialize(&mut out);
-        self.clock.serialize(&mut out);
-        self.warm_until.serialize(&mut out);
-        out
-    }
-
-    /// The per-shard halves of the FDIFFCKP v2 split, captured under a
-    /// quiesce so each segment is a consistent cut of the stream.
-    pub(crate) fn shards_to_bytes(&self) -> Vec<Vec<u8>> {
-        self.quiesce();
-        self.states
-            .iter()
-            .map(|s| serde::to_vec(&*s.lock().expect("shard state poisoned")))
-            .collect()
-    }
-
-    /// Reassembles a differ from a decoded core and per-shard states,
-    /// positionally. A `None` slot is a salvaged (corrupt) segment and
-    /// comes back as a [`ShardState::fresh`] worker; the caller decides
-    /// whether that warrants [`ShardedDiffer::mark_lossy_restore`].
-    pub(crate) fn from_core_and_shards(
-        core: &[u8],
-        shards: Vec<Option<ShardState>>,
-    ) -> Result<ShardedDiffer, serde::Error> {
-        let mut input = core;
-        let reference = BehaviorModel::deserialize(&mut input)?;
-        let stability = StabilityReport::deserialize(&mut input)?;
-        let config = FlowDiffConfig::deserialize(&mut input)?;
-        let splitter = ShardRouter::deserialize(&mut input)?;
-        let chunk = Vec::<RoutedEvent>::deserialize(&mut input)?;
-        let clock = EpochClock::deserialize(&mut input)?;
-        let warm_until = Option::<Timestamp>::deserialize(&mut input)?;
-        if !input.is_empty() {
-            return Err(serde::Error::custom(format!(
-                "{} trailing bytes in sharded core",
-                input.len()
-            )));
-        }
-        if shards.len() != splitter.n_shards() {
-            return Err(serde::Error::custom(format!(
-                "shard count mismatch: core routes {} ways, {} segments",
-                splitter.n_shards(),
-                shards.len()
-            )));
-        }
-        let states = shards
-            .into_iter()
-            .map(|s| Arc::new(Mutex::new(s.unwrap_or_else(|| ShardState::fresh(&config)))))
-            .collect();
-        Ok(ShardedDiffer {
-            reference,
-            stability,
-            config,
-            splitter,
-            states,
-            chunk,
-            pending: Mutex::new(Pending::default()),
-            pipeline: None,
-            clock,
-            warm_until,
-            ingest_degraded: None,
-            merge_micros: 0,
-            timings: EpochTimings::default(),
-            epoch_wall: None,
-        })
-    }
-}
-
-/// Equality over the streaming state (quiesced first, so in-flight
-/// batches are settled); the wall-clock diagnostics are excluded.
-impl PartialEq for ShardedDiffer {
-    fn eq(&self, other: &ShardedDiffer) -> bool {
-        self.quiesce();
-        other.quiesce();
-        self.reference == other.reference
-            && self.stability == other.stability
-            && self.config == other.config
-            && self.splitter == other.splitter
-            && self.chunk == other.chunk
-            && self.clock == other.clock
-            && self.warm_until == other.warm_until
-            && self.states.len() == other.states.len()
-            && self.states.iter().zip(&other.states).all(|(a, b)| {
-                Arc::ptr_eq(a, b)
-                    || *a.lock().expect("shard state poisoned")
-                        == *b.lock().expect("shard state poisoned")
-            })
-    }
-}
-
-/// A clone carries the full quiesced streaming state but no threads —
-/// its pipeline spawns lazily if and when it observes. This is what
-/// lets checkpoint capture clone a live differ without forking the
-/// worker fleet.
-impl Clone for ShardedDiffer {
-    fn clone(&self) -> ShardedDiffer {
-        self.quiesce();
-        ShardedDiffer {
-            reference: self.reference.clone(),
-            stability: self.stability.clone(),
-            config: self.config.clone(),
-            splitter: self.splitter.clone(),
-            states: self
-                .states
-                .iter()
-                .map(|s| Arc::new(Mutex::new(s.lock().expect("shard state poisoned").clone())))
-                .collect(),
-            chunk: self.chunk.clone(),
-            pending: Mutex::new(Pending::default()),
-            pipeline: None,
-            clock: self.clock.clone(),
-            warm_until: self.warm_until,
-            ingest_degraded: self.ingest_degraded.clone(),
-            merge_micros: self.merge_micros,
-            timings: self.timings,
-            epoch_wall: None,
-        }
-    }
-}
-
-impl Serialize for ShardedDiffer {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        out.extend_from_slice(&self.core_to_bytes());
-        // The worker states in the `Vec<ShardState>` wire layout
-        // (u64 count, then each element), written under the quiesce
-        // `core_to_bytes` just performed.
-        (self.states.len() as u64).serialize(out);
-        for state in &self.states {
-            state.lock().expect("shard state poisoned").serialize(out);
-        }
-    }
-}
-
-impl Deserialize for ShardedDiffer {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let reference = BehaviorModel::deserialize(input)?;
-        let stability = StabilityReport::deserialize(input)?;
-        let config = FlowDiffConfig::deserialize(input)?;
-        let splitter = ShardRouter::deserialize(input)?;
-        let chunk = Vec::<RoutedEvent>::deserialize(input)?;
-        let clock = EpochClock::deserialize(input)?;
-        let warm_until = Option::<Timestamp>::deserialize(input)?;
-        let shards = Vec::<ShardState>::deserialize(input)?;
-        if shards.len() != splitter.n_shards() {
-            return Err(serde::Error::custom("shard count mismatch"));
-        }
-        Ok(ShardedDiffer {
-            reference,
-            stability,
-            config,
-            splitter,
-            states: shards
-                .into_iter()
-                .map(|s| Arc::new(Mutex::new(s)))
-                .collect(),
-            chunk,
-            pending: Mutex::new(Pending::default()),
-            pipeline: None,
-            clock,
-            warm_until,
-            ingest_degraded: None,
-            merge_micros: 0,
-            timings: EpochTimings::default(),
-            epoch_wall: None,
-        })
-    }
-}
-
-/// Worker threads for a merge's signature fan-out.
-fn workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 #[cfg(test)]
@@ -1934,35 +884,6 @@ mod tests {
     }
 
     #[test]
-    fn first_epoch_busy_gauge_is_not_saturated_under_light_load() {
-        // Regression: the first epoch barrier used to fabricate a 1µs
-        // wall when `epoch_wall` was unseeded, saturating
-        // `worker_busy_pct` to 100 on an almost idle pipeline. Two
-        // hellos and a deliberate 10ms pause are nowhere near a busy
-        // epoch, so the first-epoch gauge must stay well under 100.
-        let config = FlowDiffConfig::default();
-        let empty = netsim::log::ControllerLog::new();
-        let reference = crate::model::BehaviorModel::build(&empty, &config);
-        let stability = crate::stability::StabilityReport::all_stable(&reference);
-        let mut differ = ShardedDiffer::new(reference, stability, &config, 2);
-
-        assert!(differ
-            .observe(&hello_at(Timestamp::from_secs(1)))
-            .is_empty());
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        let snaps = differ.observe(&hello_at(Timestamp::from_micros(
-            1_000_000 + config.online_epoch_us,
-        )));
-        assert_eq!(snaps.len(), 1, "crossing one epoch boundary snapshots");
-        let timings = differ.take_timings();
-        assert!(
-            timings.worker_busy_pct < 100,
-            "first-epoch busy gauge spuriously saturated: {}%",
-            timings.worker_busy_pct
-        );
-    }
-
-    #[test]
     fn far_future_event_cannot_flood_the_epoch_clock() {
         let config = FlowDiffConfig::default();
         let empty = netsim::log::ControllerLog::new();
@@ -2116,117 +1037,6 @@ mod tests {
         let ckpt = crate::checkpoint::Checkpoint::capture(&interrupted, cut as u64, &config);
         drop(interrupted);
         let restored = crate::checkpoint::Checkpoint::from_bytes(&ckpt.to_bytes()).unwrap();
-        let (mut resumed, offset) = restored.resume(&config).unwrap();
-        assert_eq!(offset as usize, cut);
-        assert_eq!(resumed, straight, "restored state == uninterrupted state");
-        for event in &events[cut..] {
-            straight_snaps.extend(straight.observe(event));
-            resumed_snaps.extend(resumed.observe(event));
-        }
-        let a = straight.finish().unwrap();
-        let b = resumed.finish().unwrap();
-        assert_eq!(straight_snaps, resumed_snaps);
-        assert_eq!(a, b);
-        assert_eq!(
-            serde::to_vec(&a),
-            serde::to_vec(&b),
-            "final snapshots serialize byte-identically"
-        );
-    }
-
-    #[test]
-    fn sharded_differ_matches_single_shard_byte_for_byte() {
-        // A fault in the live stream makes the per-epoch diffs
-        // non-empty, so equality covers the change lists, not just
-        // empty-vs-empty.
-        let (log1, config) = scenario_log(1, None);
-        let mut topo = Topology::lab();
-        let (_, _) = install_services(&mut topo, "of7");
-        let s4 = topo.node_by_name("S4").unwrap();
-        let (log2, _) = scenario_log(
-            2,
-            Some((
-                Timestamp::ZERO,
-                Fault::HostSlowdown {
-                    host: s4,
-                    extra_us: 150_000,
-                },
-            )),
-        );
-        let m1 = crate::model::BehaviorModel::build(&log1, &config);
-        let stability = crate::stability::analyze(&log1, &m1, &config);
-
-        let mut single = OnlineDiffer::new(m1.clone(), stability.clone(), &config);
-        let mut single_snaps = Vec::new();
-        for event in log2.events() {
-            single_snaps.extend(single.observe(event));
-        }
-        let single_health = *single.health();
-        let single_last = single.finish().unwrap();
-        assert!(
-            single_snaps.iter().any(|s| !s.diff.is_empty()),
-            "the faulted stream must produce non-trivial diffs"
-        );
-
-        for n_shards in [1usize, 2, 3] {
-            let mut sharded = ShardedDiffer::new(m1.clone(), stability.clone(), &config, n_shards);
-            let mut snaps = Vec::new();
-            for event in log2.events() {
-                snaps.extend(sharded.observe(event));
-            }
-            assert_eq!(
-                sharded.health(),
-                single_health,
-                "{n_shards}-shard health rollup == single-shard health"
-            );
-            let last = sharded.finish().unwrap();
-            assert_eq!(
-                snaps, single_snaps,
-                "{n_shards}-shard snapshots == single-shard snapshots"
-            );
-            assert_eq!(last, single_last, "{n_shards}-shard final flush");
-            assert_eq!(
-                serde::to_vec(&last),
-                serde::to_vec(&single_last),
-                "{n_shards}-shard final snapshot serializes byte-identically"
-            );
-            for (a, b) in snaps.iter().zip(&single_snaps) {
-                assert_eq!(
-                    serde::to_vec(a),
-                    serde::to_vec(b),
-                    "epoch {} serializes byte-identically under {n_shards} shards",
-                    a.epoch
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn sharded_checkpoint_resumes_mid_stream_identically() {
-        let (log1, config) = scenario_log(1, None);
-        let m1 = crate::model::BehaviorModel::build(&log1, &config);
-        let stability = crate::stability::analyze(&log1, &m1, &config);
-        let (log2, _) = scenario_log(2, None);
-        let events: Vec<ControlEvent> = log2.events().to_vec();
-        let cut = events.len() / 2;
-
-        let mut straight = ShardedDiffer::new(m1.clone(), stability.clone(), &config, 3);
-        let mut interrupted = ShardedDiffer::new(m1, stability, &config, 3);
-        let mut straight_snaps = Vec::new();
-        let mut resumed_snaps = Vec::new();
-        for event in &events[..cut] {
-            straight_snaps.extend(straight.observe(event));
-            resumed_snaps.extend(interrupted.observe(event));
-        }
-        // Kill mid-epoch: serialize through the v2 segmented format,
-        // restore via the version-dispatching entry point.
-        let ckpt = crate::checkpoint::ShardedCheckpoint::capture(&interrupted, cut as u64, &config);
-        drop(interrupted);
-        let restored = match crate::checkpoint::AnyCheckpoint::from_bytes(&ckpt.to_bytes()) {
-            Ok(crate::checkpoint::AnyCheckpoint::Sharded(c)) => c,
-            other => panic!("expected a sharded checkpoint, got {other:?}"),
-        };
-        assert!(restored.salvaged_shards.is_empty());
         let (mut resumed, offset) = restored.resume(&config).unwrap();
         assert_eq!(offset as usize, cut);
         assert_eq!(resumed, straight, "restored state == uninterrupted state");

@@ -62,27 +62,22 @@ pub mod tasks;
 /// Convenient re-exports of the most commonly used items.
 pub mod prelude {
     pub use crate::change::Locus;
-    pub use crate::checkpoint::{
-        AnyCheckpoint, BaselineBundle, Checkpoint, PersistError, ShardedCheckpoint,
-    };
+    pub use crate::checkpoint::{BaselineBundle, Checkpoint, PersistError};
     pub use crate::config::{ConfigError, FlowDiffConfig};
     pub use crate::diagnosis::{
         diagnose, Change, Component, DiagnosisReport, ProblemClass, SignatureKind,
     };
     pub use crate::diff::{
-        compare, EpochSnapshot, EpochTimings, ModelDiff, OnlineDiffer, ShardStats, ShardedDiffer,
-        SignatureHealth,
+        compare, EpochSnapshot, EpochTimings, ModelDiff, OnlineDiffer, SignatureHealth,
     };
     pub use crate::epoch::EpochClock;
     pub use crate::groups::{discover_groups, AppGroup, Edge};
     pub use crate::ids::{
-        shard_of, EntityCatalog, HostId, IRecord, InternedLog, PortId, RecordIndex, ShardKey,
-        SwitchId,
+        EntityCatalog, HostId, IRecord, InternedLog, PortId, RecordIndex, SwitchId,
     };
-    pub use crate::model::{BehaviorModel, GroupSignatures, IncrementalModelBuilder, ShardModel};
+    pub use crate::model::{BehaviorModel, GroupSignatures, IncrementalModelBuilder};
     pub use crate::records::{
         extract_records, FlowRecord, FlowTuple, IngestAnomaly, IngestHealth, RecordAssembler,
-        RoutedEvent, ShardRouter,
     };
     pub use crate::signatures::{
         DiffCtx, Signature, SignatureBuilder, SignatureInputs, StabilityCtx, StabilityMask,

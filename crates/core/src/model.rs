@@ -443,24 +443,6 @@ impl Deserialize for RecordWindow {
     }
 }
 
-/// One shard's contribution to a model build: the same state an
-/// [`IncrementalModelBuilder`] accumulates, extracted for
-/// [`IncrementalModelBuilder::merge`]. Partials are cheap to move
-/// around (records are owned, nothing is interned yet) and serialize,
-/// so a merge input can also cross a checkpoint boundary.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ShardModel {
-    /// Flow records this shard completed (or holds open) in the window.
-    pub records: Vec<FlowRecord>,
-    /// Liveness proofs: datapath -> newest `ToController` timestamp.
-    pub live: BTreeMap<DatapathId, Timestamp>,
-    /// Port-counter series owned by this shard (whole per-port series —
-    /// the splitter routes a switch's stats replies to one shard).
-    pub lu: LuBuilder,
-    /// Min/max event timestamp this shard observed.
-    pub observed_span: Option<(Timestamp, Timestamp)>,
-}
-
 /// Streaming model builder: folds flow records (from a
 /// [`RecordAssembler`]) and raw control events as they arrive, and can
 /// snapshot a full [`BehaviorModel`] at any point.
@@ -642,8 +624,8 @@ impl IncrementalModelBuilder {
         if event.direction == Direction::ToController {
             // Keep the *newest* proof per datapath even under disordered
             // arrival: insert-last-wins would let a stale straggler
-            // overwrite a fresher proof, making liveness (and the
-            // shard-merge max-union below) arrival-order-sensitive.
+            // overwrite a fresher proof, making liveness
+            // arrival-order-sensitive.
             let newest = self.live.entry(event.dpid).or_insert(event.ts);
             if event.ts > *newest {
                 *newest = event.ts;
@@ -705,107 +687,6 @@ impl IncrementalModelBuilder {
     pub fn into_snapshot_with(mut self, workers: usize) -> BehaviorModel {
         let records = std::mem::take(&mut self.records).into_flat_vec();
         self.finish_records(records, workers)
-    }
-
-    /// Extracts this builder's accumulated state as one mergeable shard
-    /// partial, consuming the builder. The records come out in window
-    /// order, which the merge's stable sort preserves.
-    pub fn into_shard_model(self) -> ShardModel {
-        ShardModel {
-            records: self.records.into_flat_vec(),
-            live: self.live,
-            lu: self.lu,
-            observed_span: self.observed_span,
-        }
-    }
-
-    /// Clones the accumulated state into one mergeable shard partial
-    /// without consuming the builder, appending `opens` (the caller's
-    /// still-in-window in-flight episodes) after the held window. The
-    /// merge's stable sort puts every record — held or open, from any
-    /// shard — exactly where the single-shard snapshot's sort would, so
-    /// ties keep held-before-open order and byte-identity holds without
-    /// the historical per-epoch probe clone.
-    ///
-    /// This is also what bounds the persistent pipeline's quiesce
-    /// window: each worker runs this extraction inside its barrier
-    /// handler and ships the partial back, so the world is only
-    /// stopped per shard for one clone — the expensive merge runs on
-    /// the coordinator while the workers are already back to draining
-    /// their queues.
-    pub fn shard_model_with_opens(&self, opens: Vec<FlowRecord>) -> ShardModel {
-        let mut records = self.records.to_flat_vec();
-        records.extend(opens);
-        ShardModel {
-            records,
-            live: self.live.clone(),
-            lu: self.lu.clone(),
-            observed_span: self.observed_span,
-        }
-    }
-
-    /// Reassembles N shard partials into one [`BehaviorModel`] that is
-    /// `PartialEq`- and serialization-byte-identical to what a single
-    /// builder fed the whole stream would snapshot.
-    ///
-    /// Why byte-identity holds: the snapshot core sorts records by
-    /// `(first_seen, tuple)` — a total order over episodes, since two
-    /// episodes of one tuple can never share a first `PacketIn` — and
-    /// interns entities into a fresh catalog in that sorted order, so
-    /// concatenating disjoint per-shard record sets loses nothing the
-    /// sort doesn't restore. The event-derived facts merge exactly too:
-    /// liveness is a per-datapath max (each proof's timestamp, not its
-    /// arrival order, decides), the LU counter series unions disjoint
-    /// `(dpid, port)` keys, and the observed span is a min/max fold.
-    /// The merge itself is allocation-light — one concatenation, no
-    /// record is copied or re-keyed — and the one signature fan-out
-    /// happens exactly once, here.
-    pub fn merge(
-        parts: Vec<ShardModel>,
-        span: Option<(Timestamp, Timestamp)>,
-        config: &FlowDiffConfig,
-        workers: usize,
-    ) -> BehaviorModel {
-        let mut builder = IncrementalModelBuilder::new(config);
-        if let Some(span) = span {
-            builder.set_span(span);
-        }
-        for part in parts {
-            for record in part.records {
-                builder.records.push(record);
-            }
-            for (dpid, ts) in part.live {
-                let newest = builder.live.entry(dpid).or_insert(ts);
-                if ts > *newest {
-                    *newest = ts;
-                }
-            }
-            builder.lu.absorb(part.lu);
-            if let Some((lo, hi)) = part.observed_span {
-                match &mut builder.observed_span {
-                    Some((l, h)) => {
-                        *l = (*l).min(lo);
-                        *h = (*h).max(hi);
-                    }
-                    None => builder.observed_span = Some((lo, hi)),
-                }
-            }
-        }
-        builder.into_snapshot_with(workers)
-    }
-
-    /// Rough heap footprint of the builder's shard-local state: held
-    /// records, liveness proofs, and the LU counter series.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.records
-            .iter()
-            .map(|r| {
-                size_of::<FlowRecord>() + r.hops.len() * size_of::<crate::records::HopReport>()
-            })
-            .sum::<usize>()
-            + self.live.len() * size_of::<(DatapathId, Timestamp)>()
-            + self.lu.approx_bytes()
     }
 
     /// Snapshots the model for one epoch via the maintained window
@@ -1215,38 +1096,6 @@ mod tests {
         assert!(m.groups.is_empty());
         assert!(m.utilization.per_port.is_empty());
         assert!(m.topology.live_switches.is_empty());
-    }
-
-    #[test]
-    fn merged_shard_partials_equal_single_build() {
-        let (log, config) = scenario_log();
-        let single = BehaviorModel::build(&log, &config);
-        // Partition the stream three ways: events by reporting switch
-        // (so each port's LU series stays whole on one shard), records
-        // round-robin (any disjoint partition must merge identically).
-        let n = 3usize;
-        let mut assembler = RecordAssembler::new(&config);
-        let mut builders: Vec<IncrementalModelBuilder> = (0..n)
-            .map(|_| IncrementalModelBuilder::new(&config))
-            .collect();
-        for event in log.events() {
-            assembler.observe(event);
-            builders[(event.dpid.0 % n as u64) as usize].observe_event(event);
-        }
-        for (i, record) in assembler.finish().into_iter().enumerate() {
-            builders[i % n].observe_record(record);
-        }
-        let parts: Vec<ShardModel> = builders
-            .into_iter()
-            .map(IncrementalModelBuilder::into_shard_model)
-            .collect();
-        let merged = IncrementalModelBuilder::merge(parts, log.time_range(), &config, 2);
-        assert_eq!(single, merged, "merge must reproduce the one-builder model");
-        assert_eq!(
-            serde::to_vec(&single),
-            serde::to_vec(&merged),
-            "and byte-identically so"
-        );
     }
 
     #[test]

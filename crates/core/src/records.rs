@@ -17,7 +17,6 @@ use openflow::types::{DatapathId, IpProto, PortNo, Timestamp, Xid};
 use serde::{Deserialize, Serialize};
 
 use crate::config::FlowDiffConfig;
-use crate::ids::{shard_of, EntityCatalog, ShardKey};
 
 /// One countable irregularity in the control-event stream.
 ///
@@ -700,38 +699,6 @@ impl RecordAssembler {
         self.completed.len()
     }
 
-    /// Advances the assembler's processed-time clock without feeding an
-    /// event, running the same prune check [`observe`](Self::observe)
-    /// runs after a non-flow message.
-    ///
-    /// This is the shard worker's half of the splitter contract: a
-    /// [`ShardRouter`] delivers every admitted event to every shard, and
-    /// a shard whose state machine doesn't own the event still advances
-    /// its clock with it, so each shard prunes on exactly the cadence
-    /// the single-shard assembler would. (Eviction timing is load-
-    /// bearing: it decides which straggling `FlowMod` replies still
-    /// patch their episode, which is visible in the record bytes.)
-    pub fn advance_clock(&mut self, ts: Timestamp) {
-        if ts > self.now {
-            self.now = ts;
-        }
-        if self.now.saturating_since(self.last_prune) > self.horizon_us {
-            self.prune();
-            self.last_prune = self.now;
-        }
-    }
-
-    /// Advances the processed-time clock *without* the prune check —
-    /// the exact effect of an unparseable `PacketIn`, whose early
-    /// return skips pruning in [`observe`](Self::observe). Shards
-    /// mirror that quirk so their prune cadence stays bit-for-bit on
-    /// the single-shard schedule.
-    pub fn advance_now(&mut self, ts: Timestamp) {
-        if ts > self.now {
-            self.now = ts;
-        }
-    }
-
     /// Drains everything: the reorder buffer is flushed, remaining open
     /// episodes are finalized, and the full record set is returned in
     /// `(first_seen, tuple)` order — exactly the batch extraction order.
@@ -751,419 +718,6 @@ impl RecordAssembler {
         );
         records.sort_by_key(|r| (r.first_seen, r.tuple));
         records
-    }
-}
-
-/// What kind of protocol conversation an event participates in, decided
-/// once by the [`ShardRouter`] (which has to parse `PacketIn` payloads
-/// to route them anyway) so neither the release-order ledger nor the N
-/// shard workers re-parse the frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum EventClass {
-    /// A `PacketIn` whose payload parsed into a flow key; owned by the
-    /// source host's shard.
-    PacketIn,
-    /// A `FlowMod`; processed in full by *every* shard so each replica
-    /// of the xid table sees the same first-reply-wins outcome.
-    FlowMod,
-    /// A `FlowRemoved`; owned by the source host's shard (same key as
-    /// the `PacketIn`s it closes).
-    FlowRemoved,
-    /// A `PacketIn` whose payload did not parse; advances every shard's
-    /// clock without a prune check, mirroring the single-shard
-    /// assembler's early return.
-    OpaquePacketIn,
-    /// Everything else (echoes, stats replies, ...); owned by the
-    /// reporting switch's shard, advances every shard's clock.
-    Other,
-}
-
-/// One admitted control event, annotated with its owning shard and
-/// pre-computed [`EventClass`]. This is what the splitter releases —
-/// the persistent pipeline wraps each release into a broadcast step
-/// batch for its worker channels — and what a checkpoint's pending
-/// chunk holds (a restored chunk is replayed into the fresh worker
-/// pool as its first batch).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct RoutedEvent {
-    /// Index of the shard that owns this event's state machine work.
-    pub shard: u32,
-    /// Pre-computed classification (see [`EventClass`]).
-    pub class: EventClass,
-    /// The event itself.
-    pub event: ControlEvent,
-}
-
-/// Ledger entry mirroring one [`RecordAssembler`] `SeenMod`: the first
-/// `FlowMod` seen for an xid, and whether any `PacketIn` ever paired
-/// with it.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-struct LedgerMod {
-    ts: Timestamp,
-    used: bool,
-}
-
-/// The splitter in front of N shard [`RecordAssembler`]s: admits decoded
-/// events, routes each to its owning shard, and keeps the *global*
-/// ingest accounting that no single shard can see. It is the single
-/// serial stage of the persistent pipeline — everything downstream of
-/// its release order is replicated per worker, so admission here can
-/// overlap the workers draining their queues.
-///
-/// The router owns everything arrival-ordered — the time-jump
-/// quarantine, the out-of-order count, and the reorder buffer — so the
-/// per-shard assemblers run with `reorder_slack_us = 0` and
-/// `max_time_jump_us = 0` and consume already-sequenced events. It also
-/// runs a release-order **xid ledger**, a faithful mirror of the
-/// assembler's `seen_mods`/`pending_mods` lifecycle (same first-wins
-/// rule, same prune cadence), because `duplicate_xids` and
-/// `orphan_flow_mods` are global-by-xid facts: every shard processes
-/// every `FlowMod`, so per-shard counts would multiply duplicates by N
-/// and call a mod orphaned on every shard that doesn't own its
-/// `PacketIn`s.
-///
-/// Routing is content-based and computed at arrival: a parseable
-/// `PacketIn` belongs to its source host's shard, a `FlowRemoved` to the
-/// source host in its match (the same key, so a tuple's episodes and its
-/// removal meet on one shard), and everything else to the reporting
-/// switch's shard (which keeps a port's stats series whole on one
-/// shard). Hosts and switches are interned into the router's own dense
-/// [`EntityCatalog`] and sharded by `id % n`, so shard placement is a
-/// pure function of the arrival stream.
-///
-/// The router is part of the sharded pipeline's streaming state: it
-/// serializes (catalog as its intern-ordered entity lists, re-interned
-/// on decode) and compares by value, so a restored router admits,
-/// routes, and counts exactly like the original.
-#[derive(Debug, Clone)]
-pub struct ShardRouter {
-    n_shards: u32,
-    reorder_slack_us: u64,
-    max_time_jump_us: u64,
-    horizon_us: u64,
-    /// Host/switch interning for shard placement only (records are
-    /// re-interned from scratch at every model build).
-    catalog: EntityCatalog,
-    max_arrival: Timestamp,
-    arrival_seq: u64,
-    /// Held-back routed events awaiting re-sequencing; same keying as
-    /// the assembler's buffer.
-    reorder_buf: BTreeMap<(Timestamp, u64), RoutedEvent>,
-    /// xid -> first FlowMod seen (release order); mirror of the
-    /// assembler's `seen_mods`.
-    ledger_mods: HashMap<Xid, LedgerMod>,
-    /// xid -> PacketIn registration times still waiting for their
-    /// FlowMod; mirror of `pending_mods` (only the timestamps matter
-    /// here — the owning shard patches the actual hops).
-    ledger_pending: HashMap<Xid, Vec<Timestamp>>,
-    now: Timestamp,
-    last_prune: Timestamp,
-    /// Splitter-owned health: frame counters, reorders, time jumps, and
-    /// the ledger's duplicate/orphan xid counts. Per-shard assemblers
-    /// own eviction/removal/stale counts.
-    health: IngestHealth,
-}
-
-impl ShardRouter {
-    /// New router for `n_shards` workers, taking the arrival-side
-    /// tolerances (`reorder_slack_us`, `max_time_jump_us`) and the
-    /// ledger prune horizon from `config` exactly as
-    /// [`RecordAssembler::new`] does.
-    pub fn new(config: &FlowDiffConfig, n_shards: usize) -> ShardRouter {
-        ShardRouter {
-            n_shards: n_shards.max(1) as u32,
-            reorder_slack_us: config.reorder_slack_us,
-            max_time_jump_us: config.max_time_jump_us,
-            horizon_us: config.partial_flow_timeout_us.max(config.episode_gap_us),
-            catalog: EntityCatalog::default(),
-            max_arrival: Timestamp::ZERO,
-            arrival_seq: 0,
-            reorder_buf: BTreeMap::new(),
-            ledger_mods: HashMap::new(),
-            ledger_pending: HashMap::new(),
-            now: Timestamp::ZERO,
-            last_prune: Timestamp::ZERO,
-            health: IngestHealth::default(),
-        }
-    }
-
-    /// Number of shards this router splits across.
-    pub fn n_shards(&self) -> usize {
-        self.n_shards as usize
-    }
-
-    /// Newest arrival timestamp admitted so far.
-    pub fn max_arrival(&self) -> Timestamp {
-        self.max_arrival
-    }
-
-    /// Splitter-owned health counters (see the struct docs for which
-    /// fields are authoritative here vs. summed over shards).
-    pub fn health(&self) -> &IngestHealth {
-        &self.health
-    }
-
-    /// Folds frame-level stream stats into the global health picture.
-    pub fn absorb_stream(&mut self, stats: netsim::log::StreamStats) {
-        self.health.absorb_stream(stats);
-    }
-
-    /// True when [`admit`](Self::admit) would drop an event at `ts` as a
-    /// corrupt clock reading — same rule as
-    /// [`RecordAssembler::quarantines`].
-    pub fn quarantines(&self, ts: Timestamp) -> bool {
-        self.max_time_jump_us > 0
-            && ts
-                .checked_since(self.max_arrival)
-                .is_some_and(|jump| jump > self.max_time_jump_us)
-    }
-
-    /// Admits one event: quarantine/out-of-order accounting, routing,
-    /// then re-sequencing. Events released from the buffer (possibly
-    /// including this one) are appended to `released` in assembly
-    /// order, each already run through the xid ledger. Returns the
-    /// admitted event's owning shard, or `None` when the event was
-    /// quarantined (callers feed arrival-ordered per-shard state — the
-    /// model builders — off this return value).
-    pub fn admit(&mut self, ev: &ControlEvent, released: &mut Vec<RoutedEvent>) -> Option<u32> {
-        if self.quarantines(ev.ts) {
-            self.health.record(IngestAnomaly::TimeJump);
-            return None;
-        }
-        if ev.ts < self.max_arrival {
-            self.health.record(IngestAnomaly::OutOfOrder);
-        } else {
-            self.max_arrival = ev.ts;
-        }
-        let (shard, class) = self.route(ev);
-        let routed = RoutedEvent {
-            shard,
-            class,
-            event: ev.clone(),
-        };
-        if self.reorder_slack_us == 0 {
-            self.ledger_process(&routed);
-            released.push(routed);
-            return Some(shard);
-        }
-        self.reorder_buf.insert((ev.ts, self.arrival_seq), routed);
-        self.arrival_seq += 1;
-        let release = Timestamp::from_micros(
-            self.max_arrival
-                .as_micros()
-                .saturating_sub(self.reorder_slack_us),
-        );
-        while let Some(entry) = self.reorder_buf.first_entry() {
-            if entry.key().0 > release {
-                break;
-            }
-            let r = entry.remove();
-            self.ledger_process(&r);
-            released.push(r);
-        }
-        Some(shard)
-    }
-
-    /// Flushes the reorder buffer (end of stream), returning the held
-    /// events in release order, ledger-processed — the router half of
-    /// [`RecordAssembler::finish`].
-    pub fn drain(&mut self) -> Vec<RoutedEvent> {
-        let held: Vec<RoutedEvent> = std::mem::take(&mut self.reorder_buf)
-            .into_values()
-            .collect();
-        for r in &held {
-            self.ledger_process(r);
-        }
-        held
-    }
-
-    /// Computes `(owning shard, class)` for one event, interning any
-    /// new entity it names.
-    fn route(&mut self, ev: &ControlEvent) -> (u32, EventClass) {
-        let n = self.n_shards as usize;
-        match &ev.msg {
-            OfpMessage::PacketIn(pi) => match frame::parse_frame(&pi.data) {
-                Ok(key) => {
-                    let id = self.catalog.intern_host(key.nw_src);
-                    (
-                        shard_of(ShardKey::of_host(id), n) as u32,
-                        EventClass::PacketIn,
-                    )
-                }
-                Err(_) => {
-                    let id = self.catalog.intern_switch(ev.dpid);
-                    (
-                        shard_of(ShardKey::of_switch(id), n) as u32,
-                        EventClass::OpaquePacketIn,
-                    )
-                }
-            },
-            OfpMessage::FlowMod(_) => {
-                let id = self.catalog.intern_switch(ev.dpid);
-                (
-                    shard_of(ShardKey::of_switch(id), n) as u32,
-                    EventClass::FlowMod,
-                )
-            }
-            OfpMessage::FlowRemoved(fr) => {
-                let id = self.catalog.intern_host(fr.match_.nw_src);
-                (
-                    shard_of(ShardKey::of_host(id), n) as u32,
-                    EventClass::FlowRemoved,
-                )
-            }
-            _ => {
-                let id = self.catalog.intern_switch(ev.dpid);
-                (
-                    shard_of(ShardKey::of_switch(id), n) as u32,
-                    EventClass::Other,
-                )
-            }
-        }
-    }
-
-    /// Runs one released event through the xid ledger, keeping its
-    /// clock, match rules, and prune cadence in lockstep with what a
-    /// single-shard assembler would do for the same release sequence.
-    fn ledger_process(&mut self, r: &RoutedEvent) {
-        let ts = r.event.ts;
-        if ts > self.now {
-            self.now = ts;
-        }
-        match r.class {
-            EventClass::PacketIn => match self.ledger_mods.get_mut(&r.event.xid) {
-                Some(m) => m.used = true,
-                None => self.ledger_pending.entry(r.event.xid).or_default().push(ts),
-            },
-            EventClass::FlowMod => {
-                use std::collections::hash_map::Entry;
-                match self.ledger_mods.entry(r.event.xid) {
-                    Entry::Vacant(slot) => {
-                        let used = self.ledger_pending.remove(&r.event.xid).is_some();
-                        slot.insert(LedgerMod { ts, used });
-                    }
-                    Entry::Occupied(_) => {
-                        self.health.record(IngestAnomaly::DuplicateXid);
-                    }
-                }
-            }
-            // Mirror the assembler's early return: no prune check.
-            EventClass::OpaquePacketIn => return,
-            EventClass::FlowRemoved | EventClass::Other => {}
-        }
-        if self.now.saturating_since(self.last_prune) > self.horizon_us {
-            self.ledger_prune();
-            self.last_prune = self.now;
-        }
-    }
-
-    /// Ages out ledger entries on the assembler's schedule, counting
-    /// never-used mods as orphans.
-    fn ledger_prune(&mut self) {
-        let now = self.now;
-        let horizon = self.horizon_us;
-        let mut orphaned = 0u64;
-        self.ledger_mods.retain(|_, m| {
-            let keep = now.saturating_since(m.ts) <= horizon;
-            if !keep && !m.used {
-                orphaned += 1;
-            }
-            keep
-        });
-        for _ in 0..orphaned {
-            self.health.record(IngestAnomaly::OrphanFlowMod);
-        }
-        self.ledger_pending.retain(|_, regs| {
-            regs.retain(|r| now.saturating_since(*r) <= horizon);
-            !regs.is_empty()
-        });
-    }
-
-    /// Rough heap footprint of the router's own state.
-    pub fn approx_bytes(&self) -> usize {
-        use std::mem::size_of;
-        self.catalog.approx_bytes()
-            + self.reorder_buf.len() * (size_of::<(Timestamp, u64)>() + size_of::<RoutedEvent>())
-            + self.ledger_mods.len() * size_of::<(Xid, LedgerMod)>()
-            + self
-                .ledger_pending
-                .values()
-                .map(|v| size_of::<Xid>() + v.len() * size_of::<Timestamp>())
-                .sum::<usize>()
-    }
-}
-
-impl PartialEq for ShardRouter {
-    fn eq(&self, other: &ShardRouter) -> bool {
-        // The catalog has no PartialEq of its own; its intern-ordered
-        // entity lists are its full observable state.
-        self.n_shards == other.n_shards
-            && self.reorder_slack_us == other.reorder_slack_us
-            && self.max_time_jump_us == other.max_time_jump_us
-            && self.horizon_us == other.horizon_us
-            && self.catalog.hosts() == other.catalog.hosts()
-            && self.catalog.switches() == other.catalog.switches()
-            && self.max_arrival == other.max_arrival
-            && self.arrival_seq == other.arrival_seq
-            && self.reorder_buf == other.reorder_buf
-            && self.ledger_mods == other.ledger_mods
-            && self.ledger_pending == other.ledger_pending
-            && self.now == other.now
-            && self.last_prune == other.last_prune
-            && self.health == other.health
-    }
-}
-
-impl Serialize for ShardRouter {
-    fn serialize(&self, out: &mut Vec<u8>) {
-        self.n_shards.serialize(out);
-        self.reorder_slack_us.serialize(out);
-        self.max_time_jump_us.serialize(out);
-        self.horizon_us.serialize(out);
-        // The catalog round-trips as its intern-ordered entity lists.
-        self.catalog.hosts().serialize(out);
-        self.catalog.switches().serialize(out);
-        self.max_arrival.serialize(out);
-        self.arrival_seq.serialize(out);
-        self.reorder_buf.serialize(out);
-        self.ledger_mods.serialize(out);
-        self.ledger_pending.serialize(out);
-        self.now.serialize(out);
-        self.last_prune.serialize(out);
-        self.health.serialize(out);
-    }
-}
-
-impl Deserialize for ShardRouter {
-    fn deserialize(input: &mut &[u8]) -> Result<Self, serde::Error> {
-        let n_shards = u32::deserialize(input)?;
-        let reorder_slack_us = u64::deserialize(input)?;
-        let max_time_jump_us = u64::deserialize(input)?;
-        let horizon_us = u64::deserialize(input)?;
-        let hosts = Vec::<Ipv4Addr>::deserialize(input)?;
-        let switches = Vec::<DatapathId>::deserialize(input)?;
-        let mut catalog = EntityCatalog::default();
-        for ip in hosts {
-            catalog.intern_host(ip);
-        }
-        for dpid in switches {
-            catalog.intern_switch(dpid);
-        }
-        Ok(ShardRouter {
-            n_shards,
-            reorder_slack_us,
-            max_time_jump_us,
-            horizon_us,
-            catalog,
-            max_arrival: Timestamp::deserialize(input)?,
-            arrival_seq: u64::deserialize(input)?,
-            reorder_buf: BTreeMap::deserialize(input)?,
-            ledger_mods: HashMap::deserialize(input)?,
-            ledger_pending: HashMap::deserialize(input)?,
-            now: Timestamp::deserialize(input)?,
-            last_prune: Timestamp::deserialize(input)?,
-            health: IngestHealth::deserialize(input)?,
-        })
     }
 }
 
@@ -1439,116 +993,5 @@ mod tests {
         let log = sim.take_log();
         let records = extract_records(&log, &FlowDiffConfig::default());
         assert_eq!(records[0].switch_path(), dpids);
-    }
-
-    /// A capture with several flows, used by the router tests.
-    fn busy_log() -> ControllerLog {
-        let mut sim = Simulation::new(line_topology(), SimConfig::default(), 1);
-        for (i, sport) in [4000u16, 4001, 4002, 4003].iter().enumerate() {
-            sim.schedule_flow(
-                Timestamp::from_secs(1 + 15 * i as u64),
-                FlowSpec::new(key(*sport), 3_000, 5_000),
-            );
-        }
-        sim.run_until(Timestamp::from_secs(120));
-        sim.take_log()
-    }
-
-    #[test]
-    fn router_classifies_and_routes_deterministically() {
-        let log = busy_log();
-        let config = FlowDiffConfig::default();
-        let mut a = ShardRouter::new(&config, 3);
-        let mut b = ShardRouter::new(&config, 3);
-        let mut out_a = Vec::new();
-        let mut out_b = Vec::new();
-        for ev in log.events() {
-            assert!(a.admit(ev, &mut out_a).is_some());
-            assert!(b.admit(ev, &mut out_b).is_some());
-        }
-        out_a.extend(a.drain());
-        out_b.extend(b.drain());
-        assert_eq!(out_a, out_b, "routing is a pure function of the stream");
-        assert_eq!(out_a.len(), log.events().len());
-        assert!(out_a.iter().all(|r| (r.shard as usize) < 3));
-        // PacketIns of one tuple and its FlowRemoved land on one shard.
-        use std::collections::HashMap as Map;
-        let mut flow_shards: Map<Ipv4Addr, std::collections::BTreeSet<u32>> = Map::new();
-        for r in &out_a {
-            match (&r.class, &r.event.msg) {
-                (EventClass::PacketIn, OfpMessage::PacketIn(pi)) => {
-                    let k = frame::parse_frame(&pi.data).unwrap();
-                    flow_shards.entry(k.nw_src).or_default().insert(r.shard);
-                }
-                (EventClass::FlowRemoved, OfpMessage::FlowRemoved(fr)) => {
-                    flow_shards
-                        .entry(fr.match_.nw_src)
-                        .or_default()
-                        .insert(r.shard);
-                }
-                _ => {}
-            }
-        }
-        assert!(!flow_shards.is_empty());
-        assert!(
-            flow_shards.values().all(|shards| shards.len() == 1),
-            "a flow's episodes and removals must meet on one shard"
-        );
-    }
-
-    #[test]
-    fn router_ledger_matches_single_assembler_xid_accounting() {
-        let log = busy_log();
-        // Exercise the reorder buffer too.
-        let config = FlowDiffConfig {
-            reorder_slack_us: 50_000,
-            ..FlowDiffConfig::default()
-        };
-        let mut asm = RecordAssembler::new(&config);
-        let mut router = ShardRouter::new(&config, 4);
-        let mut released = Vec::new();
-        for ev in log.events() {
-            asm.observe(ev);
-            router.admit(ev, &mut released);
-        }
-        // Both sides have processed the identical released prefix (same
-        // watermark rule), so the splitter-owned counters must agree.
-        let ah = *asm.health();
-        let rh = router.health();
-        assert_eq!(rh.events_reordered, ah.events_reordered);
-        assert_eq!(rh.duplicate_xids, ah.duplicate_xids);
-        assert_eq!(rh.orphan_flow_mods, ah.orphan_flow_mods);
-        assert_eq!(rh.time_jumps, ah.time_jumps);
-        let n_events = log.events().len();
-        released.extend(router.drain());
-        assert_eq!(released.len(), n_events, "drain flushes the buffer");
-    }
-
-    #[test]
-    fn router_quarantines_and_serializes_midstream() {
-        let log = busy_log();
-        let config = FlowDiffConfig {
-            max_time_jump_us: 60_000_000,
-            reorder_slack_us: 10_000,
-            ..FlowDiffConfig::default()
-        };
-        let mut router = ShardRouter::new(&config, 2);
-        let mut released = Vec::new();
-        for (i, ev) in log.events().iter().enumerate() {
-            assert!(router.admit(ev, &mut released).is_some());
-            if i == 3 {
-                let mut corrupt = ev.clone();
-                corrupt.ts = Timestamp::from_micros(corrupt.ts.as_micros() + (1 << 50));
-                assert!(router.quarantines(corrupt.ts));
-                assert!(router.admit(&corrupt, &mut released).is_none());
-            }
-            if i == 5 {
-                // Mid-stream, buffer non-empty: must round-trip.
-                let bytes = serde::to_vec(&router);
-                let back: ShardRouter = serde::from_slice(&bytes).unwrap();
-                assert_eq!(back, router);
-            }
-        }
-        assert_eq!(router.health().time_jumps, 1);
     }
 }

@@ -650,8 +650,7 @@ proptest! {
     /// historical clone-probe remodel (clone the builder, observe the
     /// open episodes, retire everything before the window, rebuild from
     /// scratch via the `snapshot_with` oracle) — across random
-    /// interleaved streams, chaos-mangled wire bytes, and with a 4-shard
-    /// [`ShardedDiffer`] held to the same snapshots.
+    /// interleaved streams and chaos-mangled wire bytes.
     #[test]
     fn incremental_epochs_match_clone_probe_remodel(
         ref_seeds in prop::collection::vec(any::<u64>(), 1..5),
@@ -673,10 +672,8 @@ proptest! {
             return Ok(());
         }
 
-        let mut differ = OnlineDiffer::try_new(reference.clone(), stability.clone(), &config)
-            .expect("config valid");
-        let mut sharded = ShardedDiffer::try_new(reference, stability, &config, 4)
-            .expect("config valid");
+        let mut differ =
+            OnlineDiffer::try_new(reference, stability, &config).expect("config valid");
         // The oracle pipeline is never retired between epochs: it holds
         // the full stream, exactly like the differ's builder did before
         // snapshots went incremental.
@@ -696,8 +693,6 @@ proptest! {
 
         for event in &events {
             let snaps = differ.observe(event);
-            let shard_snaps = sharded.observe(event);
-            prop_assert_eq!(&shard_snaps, &snaps, "4-shard snapshots diverge");
             // Boundaries fire before the event is ingested, so the
             // oracle models its epochs before observing the event too.
             for snap in &snaps {
@@ -721,121 +716,13 @@ proptest! {
         for record in oracle_asm.finish() {
             oracle_builder.observe_record(record);
         }
-        let last = differ.finish();
-        prop_assert_eq!(&sharded.finish(), &last, "4-shard final snapshot diverges");
-        if let Some(last) = last {
+        if let Some(last) = differ.finish() {
             let mut probe = oracle_builder.clone();
             probe.retire_before(last.window.0);
             probe.set_span(last.window);
             let expected = probe.into_snapshot();
             prop_assert_eq!(&expected, &last.model, "final model");
             prop_assert_eq!(serde::to_vec(&expected), serde::to_vec(&last.model));
-        }
-    }
-}
-
-// ---------------------------------------------------------------------
-// Sharding: the shard count must be unobservable. For any worker count,
-// any interleaving, any wire damage, and any checkpoint cut, the
-// partitioned pipeline's epoch snapshots are byte-identical to the
-// single pipeline's.
-// ---------------------------------------------------------------------
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Byte-identity of the persistent sharded pipeline (long-lived
-    /// channel-fed workers) on chaos-mangled random streams, *through*
-    /// a mid-stream kill persisted in the v2 segmented checkpoint:
-    /// shards in {1, 2, 4, 7} all reproduce the single-shard
-    /// [`OnlineDiffer`]'s snapshots exactly. The kill also exercises
-    /// the quiesce-then-capture path and the restore-then-respawn path
-    /// (a restored differ lazily spawns a fresh worker pool).
-    #[test]
-    fn shard_count_is_unobservable_in_snapshots(
-        ref_seeds in prop::collection::vec(any::<u64>(), 1..5),
-        cur_seeds in prop::collection::vec(any::<u64>(), 1..5),
-        cut_ppm in 0u32..=1_000_000,
-        chaos_seed in any::<u64>(),
-        corruption in 0.0..0.08f64,
-        jitter_us in 0u64..5_000,
-    ) {
-        let config = FlowDiffConfig {
-            reorder_slack_us: jitter_us,
-            ..FlowDiffConfig::default()
-        };
-        let ref_log = synth_log(&ref_seeds);
-        let reference = BehaviorModel::build(&ref_log, &config);
-        let stability = StabilityReport::all_stable(&reference);
-
-        let chaos = ChannelChaos {
-            reorder_jitter_us: jitter_us,
-            ..ChannelChaos::corruption(corruption, chaos_seed)
-        };
-        let (wire, _) = chaos.mangle(&with_distinct_timestamps(&synth_log(&cur_seeds)));
-        let mut stream = netsim::log::LogStream::from_wire_bytes(&wire).expect("magic intact");
-        let events: Vec<ControlEvent> =
-            stream.by_ref().flatten().map(|e| e.into_owned()).collect();
-        if events.is_empty() {
-            return Ok(());
-        }
-        let cut = (events.len() as u64 * cut_ppm as u64 / 1_000_000) as usize;
-
-        // Uninterrupted single-shard reference run.
-        let mut single = OnlineDiffer::try_new(reference.clone(), stability.clone(), &config)
-            .expect("config valid");
-        let mut single_snaps = Vec::new();
-        for event in &events {
-            single_snaps.extend(single.observe(event));
-        }
-        let single_health = *single.health();
-        single_snaps.extend(single.finish());
-
-        for n_shards in [1usize, 2, 4, 7] {
-            let mut sharded =
-                ShardedDiffer::try_new(reference.clone(), stability.clone(), &config, n_shards)
-                    .expect("config valid");
-            let mut snaps = Vec::new();
-            for event in &events[..cut] {
-                snaps.extend(sharded.observe(event));
-            }
-            // Kill mid-stream: state survives only as the segmented v2
-            // container, restored through the version dispatcher.
-            let bytes = ShardedCheckpoint::capture(&sharded, cut as u64, &config).to_bytes();
-            drop(sharded);
-            let restored = match AnyCheckpoint::from_bytes(&bytes).expect("container intact") {
-                AnyCheckpoint::Sharded(c) => c,
-                other => panic!("v2 bytes must dispatch to Sharded, got {other:?}"),
-            };
-            prop_assert!(restored.salvaged_shards.is_empty());
-            let (mut sharded, offset) = restored.resume(&config).expect("same config");
-            prop_assert_eq!(offset as usize, cut);
-            for event in &events[cut..] {
-                snaps.extend(sharded.observe(event));
-            }
-            // Arrival-ordered counters are exact at any instant; the
-            // shard-local eviction counters only catch up at boundary
-            // flushes, so they are compared by the deterministic unit
-            // tests instead.
-            let health = sharded.health();
-            prop_assert_eq!(health.events_reordered, single_health.events_reordered);
-            prop_assert_eq!(health.time_jumps, single_health.time_jumps);
-            prop_assert_eq!(health.duplicate_xids, single_health.duplicate_xids);
-            prop_assert_eq!(health.orphan_flow_mods, single_health.orphan_flow_mods);
-            snaps.extend(sharded.finish());
-            prop_assert_eq!(
-                snaps.len(),
-                single_snaps.len(),
-                "{} shards: epoch count", n_shards
-            );
-            for (a, b) in snaps.iter().zip(&single_snaps) {
-                prop_assert_eq!(a, b, "{} shards: snapshot equality", n_shards);
-                prop_assert_eq!(
-                    serde::to_vec(a),
-                    serde::to_vec(b),
-                    "{} shards: snapshot bytes", n_shards
-                );
-            }
         }
     }
 }
